@@ -1,8 +1,8 @@
 //! Machine-readable simulator throughput and memory report.
 //!
-//! Runs the same end-to-end scenarios as the criterion `simulation` bench
-//! group, but with a plain `std::time::Instant` harness and a JSON artifact
-//! (`BENCH_sim.json`) that CI can archive and diff across commits. Events
+//! Runs end-to-end simulator scenarios with a plain `std::time::Instant`
+//! harness and writes a JSON artifact (`BENCH_sim.json`) that CI can
+//! archive and diff across commits. Events
 //! per second uses [`resmatch_sim::SimResult::events_processed`] as the
 //! denominator-independent work measure: it is a deterministic property of
 //! the scenario, so throughput differences are wall-clock differences.

@@ -6,13 +6,8 @@
 //! handful of distinct capacities — which matters because the simulator
 //! retries the queue head on every completion event.
 //!
-//! Three hot-path caches keep the per-event cost flat over a full trace:
+//! Two hot-path caches keep the per-event cost flat over a full trace:
 //!
-//! - a `MemIndex`: cumulative free/online node counts indexed by the
-//!   memory-capacity ladder, maintained incrementally on every
-//!   allocate/release/churn, so the memory-only candidate counts the
-//!   simulator asks for on each (re)admission are an O(log #rungs) lookup
-//!   instead of a pool scan with full `satisfies` checks;
 //! - the pool visitation order for each [`MatchPolicy`], precomputed at
 //!   construction, so `try_allocate` never allocates or sorts;
 //! - per-pool grant counts inside each [`Allocation`], so
@@ -96,59 +91,6 @@ impl Allocation {
     }
 }
 
-/// Cumulative candidate counts over the memory-capacity ladder.
-///
-/// `free_at_least[r]` (resp. `online_at_least[r]`) is the number of free
-/// (resp. online, i.e. free-or-busy) nodes in pools whose memory is at
-/// least `rungs[r]`. A memory-only demand's candidate count is then a
-/// binary search plus one array read; the arrays are patched incrementally
-/// — O(#rungs) per pool-level batch — wherever nodes change state.
-#[derive(Debug, Clone)]
-struct MemIndex {
-    /// Distinct pool memory capacities, ascending.
-    rungs: Vec<u64>,
-    free_at_least: Vec<u32>,
-    online_at_least: Vec<u32>,
-}
-
-impl MemIndex {
-    fn add_free(&mut self, rung: usize, delta: i64) {
-        for slot in &mut self.free_at_least[..=rung] {
-            *slot = (*slot as i64 + delta) as u32;
-        }
-    }
-
-    fn add_online(&mut self, rung: usize, delta: i64) {
-        for slot in &mut self.online_at_least[..=rung] {
-            *slot = (*slot as i64 + delta) as u32;
-        }
-    }
-
-    fn at_least(arr: &[u32], rungs: &[u64], mem_kb: u64) -> u32 {
-        let r = rungs.partition_point(|&m| m < mem_kb);
-        if r == rungs.len() {
-            0
-        } else {
-            arr[r]
-        }
-    }
-
-    fn free_at_least(&self, mem_kb: u64) -> u32 {
-        Self::at_least(&self.free_at_least, &self.rungs, mem_kb)
-    }
-
-    fn online_at_least(&self, mem_kb: u64) -> u32 {
-        Self::at_least(&self.online_at_least, &self.rungs, mem_kb)
-    }
-}
-
-/// True when `demand` constrains memory only, so `Capacity::satisfies`
-/// degenerates to a memory threshold and the [`MemIndex`] answers exactly.
-#[inline]
-fn mem_only(demand: &Demand) -> bool {
-    demand.disk_kb == 0 && demand.packages == 0
-}
-
 /// Bit `i` of a pool-index bitset as handed out by
 /// [`PoolMatcher::eligible_pools`]; words beyond the slice read as zero.
 #[inline]
@@ -178,10 +120,6 @@ pub struct Cluster {
     /// departed.
     occupant: Vec<u64>,
     free_count: u32,
-    /// Ladder rung index of each pool's memory capacity.
-    pool_rung: Vec<u16>,
-    /// Incremental candidate counts for memory-only demands.
-    mem_index: MemIndex,
     /// Pool visitation order per match policy, fixed at construction.
     /// Stable-sorted with the same keys the old per-call sort used, so
     /// node selection is bit-identical.
@@ -223,29 +161,6 @@ impl Cluster {
                 total: count,
             });
         }
-        let mut rungs: Vec<u64> = pools.iter().map(|p| p.capacity.mem_kb).collect();
-        rungs.sort_unstable();
-        rungs.dedup();
-        let pool_rung: Vec<u16> = pools
-            .iter()
-            .map(|p| {
-                rungs
-                    .binary_search(&p.capacity.mem_kb)
-                    .expect("invariant: rungs was built from these same pool capacities")
-                    as u16
-            })
-            .collect();
-        let mut free_at_least = vec![0u32; rungs.len()];
-        for (pi, p) in pools.iter().enumerate() {
-            for slot in &mut free_at_least[..=pool_rung[pi] as usize] {
-                *slot += p.total;
-            }
-        }
-        let mem_index = MemIndex {
-            online_at_least: free_at_least.clone(),
-            free_at_least,
-            rungs,
-        };
         let order_first: Vec<u16> = (0..pools.len() as u16).collect();
         let mut order_best = order_first.clone();
         order_best.sort_by_key(|&i| {
@@ -262,8 +177,6 @@ impl Cluster {
             node_pool,
             occupant: vec![FREE_TOKEN; total as usize],
             free_count: total,
-            pool_rung,
-            mem_index,
             order_first,
             order_best,
             order_worst,
@@ -290,21 +203,8 @@ impl Cluster {
         self.total_nodes() - self.free_count
     }
 
-    /// Free nodes whose capacity satisfies `demand`. Memory-only demands
-    /// (the simulator's case) are answered from the incremental
-    /// `MemIndex`; anything constraining disk or packages falls back to
-    /// the pool scan.
-    #[inline]
+    /// Free nodes whose capacity satisfies `demand`.
     pub fn free_nodes_satisfying(&self, demand: &Demand) -> u32 {
-        if mem_only(demand) {
-            let fast = self.mem_index.free_at_least(demand.mem_kb);
-            debug_assert_eq!(fast, self.free_nodes_satisfying_scan(demand));
-            return fast;
-        }
-        self.free_nodes_satisfying_scan(demand)
-    }
-
-    fn free_nodes_satisfying_scan(&self, demand: &Demand) -> u32 {
         self.pools
             .iter()
             .filter(|p| p.capacity.satisfies(demand))
@@ -315,17 +215,7 @@ impl Cluster {
     /// Currently *online* nodes (free or busy) whose capacity satisfies
     /// `demand` — the job's candidate-machine count, the quantity the
     /// paper's Figure 8 analysis counts for "benefiting" jobs.
-    #[inline]
     pub fn nodes_satisfying(&self, demand: &Demand) -> u32 {
-        if mem_only(demand) {
-            let fast = self.mem_index.online_at_least(demand.mem_kb);
-            debug_assert_eq!(fast, self.nodes_satisfying_scan(demand));
-            return fast;
-        }
-        self.nodes_satisfying_scan(demand)
-    }
-
-    fn nodes_satisfying_scan(&self, demand: &Demand) -> u32 {
         self.pools
             .iter()
             .filter(|p| p.capacity.satisfies(demand))
@@ -349,7 +239,6 @@ impl Cluster {
             if self.pools[pi].capacity.mem_kb != mem_kb {
                 continue;
             }
-            let mut here: u32 = 0;
             while taken < count {
                 let pool = &mut self.pools[pi];
                 match pool.free.pop() {
@@ -357,15 +246,9 @@ impl Cluster {
                         self.occupant[id as usize] = OFFLINE_TOKEN;
                         pool.offline.push(id);
                         taken += 1;
-                        here += 1;
                     }
                     None => break,
                 }
-            }
-            if here > 0 {
-                let rung = self.pool_rung[pi] as usize;
-                self.mem_index.add_free(rung, -(here as i64));
-                self.mem_index.add_online(rung, -(here as i64));
             }
             if taken == count {
                 break;
@@ -383,7 +266,6 @@ impl Cluster {
             if self.pools[pi].capacity.mem_kb != mem_kb {
                 continue;
             }
-            let mut here: u32 = 0;
             while restored < count {
                 let pool = &mut self.pools[pi];
                 match pool.offline.pop() {
@@ -392,15 +274,9 @@ impl Cluster {
                         self.occupant[id as usize] = FREE_TOKEN;
                         pool.free.push(id);
                         restored += 1;
-                        here += 1;
                     }
                     None => break,
                 }
-            }
-            if here > 0 {
-                let rung = self.pool_rung[pi] as usize;
-                self.mem_index.add_free(rung, here as i64);
-                self.mem_index.add_online(rung, here as i64);
             }
             if restored == count {
                 break;
@@ -507,8 +383,6 @@ impl Cluster {
         }
         self.pools[pi].free.truncate(start);
         per_pool.push((pi as u16, here));
-        self.mem_index
-            .add_free(self.pool_rung[pi] as usize, -(here as i64));
     }
 
     /// [`Cluster::try_allocate`] with a [`PoolMatcher`] intersected into
@@ -521,13 +395,13 @@ impl Cluster {
     ///
     /// The caller is expected to have [`PoolMatcher::prepare`]d the matcher
     /// for `demand`.
-    pub fn try_allocate_matched(
+    pub fn try_allocate_matched<M: PoolMatcher + ?Sized>(
         &mut self,
         count: u32,
         demand: &Demand,
         policy: MatchPolicy,
         token: u64,
-        matcher: &mut dyn PoolMatcher,
+        matcher: &mut M,
     ) -> Option<Allocation> {
         assert!(token < FREE_TOKEN, "tokens above u64::MAX - 2 are reserved");
         if count == 0 {
@@ -602,10 +476,10 @@ impl Cluster {
     /// When the matcher exposes a precomputed eligibility bitset
     /// ([`PoolMatcher::eligible_pools`]) the walk tests bits locally —
     /// one virtual call per *count* instead of one per pool.
-    pub fn free_nodes_satisfying_matched(
+    pub fn free_nodes_satisfying_matched<M: PoolMatcher + ?Sized>(
         &self,
         demand: &Demand,
-        matcher: &mut dyn PoolMatcher,
+        matcher: &mut M,
     ) -> u32 {
         if let Some(bits) = matcher.eligible_pools() {
             return self
@@ -629,7 +503,11 @@ impl Cluster {
     /// [`Cluster::nodes_satisfying`], used for admission feasibility. The
     /// caller is expected to have [`PoolMatcher::prepare`]d the matcher for
     /// `demand`.
-    pub fn nodes_satisfying_matched(&self, demand: &Demand, matcher: &mut dyn PoolMatcher) -> u32 {
+    pub fn nodes_satisfying_matched<M: PoolMatcher + ?Sized>(
+        &self,
+        demand: &Demand,
+        matcher: &mut M,
+    ) -> u32 {
         if let Some(bits) = matcher.eligible_pools() {
             return self
                 .pools
@@ -677,8 +555,6 @@ impl Cluster {
                 alloc.token
             );
             self.pools[pi as usize].free.extend_from_slice(seg);
-            self.mem_index
-                .add_free(self.pool_rung[pi as usize] as usize, n as i64);
         }
         debug_assert_eq!(offset, alloc.nodes.len());
         self.free_count += alloc.nodes.len() as u32;
@@ -770,29 +646,17 @@ impl Cluster {
             .fold(u32::MAX, |acc, p| acc & p)
     }
 
-    /// How many of an allocation's nodes satisfy `demand` — per-pool
-    /// arithmetic, O(pools spanned) instead of O(nodes held).
-    #[inline]
-    pub fn allocation_nodes_satisfying(&self, alloc: &Allocation, demand: &Demand) -> u32 {
-        alloc
-            .per_pool
-            .iter()
-            .filter(|&&(pi, _)| self.pools[pi as usize].capacity.satisfies(demand))
-            .map(|&(_, n)| n)
-            .sum()
-    }
-
     /// How many of an allocation's nodes satisfy `demand` *and* sit in a
-    /// pool accepted by `matcher` — the matched counterpart of
-    /// [`Cluster::allocation_nodes_satisfying`], used for backfill
-    /// reservation arithmetic. The caller is expected to have
-    /// [`PoolMatcher::prepare`]d the matcher for `demand`.
+    /// pool accepted by `matcher` — per-pool arithmetic, O(pools spanned)
+    /// instead of O(nodes held), used for backfill reservation arithmetic.
+    /// The caller is expected to have [`PoolMatcher::prepare`]d the
+    /// matcher for `demand`.
     #[inline]
-    pub fn allocation_nodes_satisfying_matched(
+    pub fn allocation_nodes_satisfying_matched<M: PoolMatcher + ?Sized>(
         &self,
         alloc: &Allocation,
         demand: &Demand,
-        matcher: &mut dyn PoolMatcher,
+        matcher: &mut M,
     ) -> u32 {
         if let Some(bits) = matcher.eligible_pools() {
             return alloc

@@ -14,9 +14,14 @@
 //!
 //! Contract: a matcher's verdicts must be a pure function of the demand it
 //! was last [`PoolMatcher::prepare`]d with and of the pool's (fixed)
-//! capability ad. The allocator pre-gates on matched free counts and later
-//! caches refusals keyed by demand; verdicts that drift between calls for
-//! the same demand would invalidate both.
+//! capability ad. The allocator pre-gates on matched free counts, and the
+//! simulator caches free-count bounds and refusals keyed by the demand's
+//! [`PoolMatcher::demand_signature`] when the matcher vouches for one, else
+//! by the demand itself; verdicts that drift between calls for the same
+//! key would invalidate both.
+//!
+//! Every allocation goes through a matcher: the simulator's native mode is
+//! the [`MatchAll`] instance of the matched path.
 
 use crate::resources::{Capacity, Demand};
 

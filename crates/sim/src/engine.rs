@@ -35,7 +35,7 @@ use std::mem;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use resmatch_cluster::{AllocationSpare, Cluster, Demand, MatchPolicy, PoolMatcher};
+use resmatch_cluster::{AllocationSpare, Cluster, Demand, MatchAll, MatchPolicy, PoolMatcher};
 use resmatch_core::similarity::FnvBuildHasher;
 use resmatch_core::traits::{requested_demand, used_demand};
 use resmatch_core::{EstimateContext, EstimateScope, Feedback, ResourceEstimator};
@@ -201,6 +201,77 @@ struct ShadowCache {
     scanned: usize,
 }
 
+/// Key of the free-bound memo and of the EASY eligible-count epoch: the
+/// matcher's verdict-class signature when it vouches for one
+/// ([`PoolMatcher::demand_signature`]), else the raw demand. Equal keys
+/// guarantee equal per-pool allocator verdicts, so one memo row serves
+/// every demand of a verdict class; [`MatchAll`] vouches for nothing, so
+/// native allocation keys by demand.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MemoKey {
+    Signature(u64),
+    Demand(Demand),
+}
+
+impl MemoKey {
+    /// The key of `demand`, which `matcher` must be prepared for.
+    #[inline]
+    fn of<M: PoolMatcher + ?Sized>(matcher: &M, demand: &Demand) -> Self {
+        matcher
+            .demand_signature()
+            .map_or(MemoKey::Demand(*demand), MemoKey::Signature)
+    }
+}
+
+/// Eligible-free node counts per [`MemoKey`], memoized under one retry
+/// epoch. Starts only shrink the free set within an epoch (releases and
+/// churn bump it), so each cached count is an *upper bound* on the live
+/// one: an entry demanding more nodes than the bound is provably refused
+/// at `try_allocate_matched`'s availability gate, with nothing else to
+/// observe — estimates are rung-quantized, so a handful of rows absorbs
+/// most of a saturated queue's allocation attempts.
+struct FreeCache {
+    rows: Vec<(MemoKey, u32)>,
+    /// Retry epoch the rows belong to; a mismatch clears them.
+    stamp: u64,
+}
+
+impl FreeCache {
+    /// The epoch's bound for `demand`, leaving `matcher` prepared for it.
+    /// Matcher verdicts are pure in (demand, pool ad), so a matched count
+    /// is memoizable under exactly the same epoch reasoning as a
+    /// capacity-only one; preparing first is what makes a signature key
+    /// available.
+    #[inline]
+    fn bound<M: PoolMatcher + ?Sized>(
+        &mut self,
+        epoch: u64,
+        cluster: &Cluster,
+        demand: &Demand,
+        matcher: &mut M,
+    ) -> u32 {
+        if self.stamp != epoch {
+            self.rows.clear();
+            self.stamp = epoch;
+        }
+        matcher.prepare(demand);
+        let key = MemoKey::of(matcher, demand);
+        if let Some(&(_, f)) = self.rows.iter().find(|(k, _)| *k == key) {
+            return f;
+        }
+        let f = cluster.free_nodes_satisfying_matched(demand, matcher);
+        self.rows.push((key, f));
+        f
+    }
+
+    /// Lower the row for `key` to a live count.
+    fn tighten(&mut self, key: MemoKey, live: u32) {
+        if let Some(row) = self.rows.iter_mut().find(|(k, _)| *k == key) {
+            row.1 = live;
+        }
+    }
+}
+
 /// Reusable simulation buffers: every growable structure one run needs,
 /// cleared — capacity intact — rather than freed between runs.
 ///
@@ -216,8 +287,7 @@ pub struct SimArena {
     store: JobStore,
     runs: RunTable,
     release_table: ReleaseTable,
-    free_cache: Vec<(Demand, u32)>,
-    free_cache_sig: Vec<(u64, u32)>,
+    free_cache: Vec<(MemoKey, u32)>,
     group_slots: HashMap<u64, u32, FnvBuildHasher>,
     group_epoch_by_slot: Vec<u64>,
     sjf_heap: BinaryHeap<Reverse<(Time, i64)>>,
@@ -272,35 +342,17 @@ struct RunState {
     /// refusal ([`Queued::failed_alloc_stamp`]) repeats identically, so
     /// retries are skipped without touching the cluster.
     retry_epoch: u64,
-    /// Eligible-free counts per distinct demand, memoized under the
-    /// current retry epoch. Starts only shrink the free set within an
-    /// epoch (releases and churn bump it), so each cached count is an
-    /// *upper bound* on the live one: an entry demanding more nodes than
-    /// the bound is provably refused at `try_allocate`'s availability
-    /// gate, with nothing else to observe — estimates are rung-quantized,
-    /// so a handful of entries absorbs most of a saturated queue's
-    /// allocation attempts.
-    free_cache: Vec<(Demand, u32)>,
-    /// Signature-keyed twin of `free_cache`, used when the matcher
-    /// vouches for its demand signatures (`demand_signature()` returns
-    /// `Some`): one cached bound then serves every demand in a verdict
-    /// class, and the probe compares one integer instead of a `Demand`.
-    free_cache_sig: Vec<(u64, u32)>,
-    /// Retry epoch the `free_cache`/`free_cache_sig` memos belong to; a
-    /// mismatch clears them.
-    free_cache_stamp: u64,
+    /// Eligible-free bounds under the current retry epoch.
+    free_cache: FreeCache,
     /// Running jobs sorted by conservative completion time (EASY only).
     release_table: ReleaseTable,
     /// Last computed EASY reservation, keyed by head and generations.
     shadow_cache: Option<ShadowCache>,
-    /// The head demand the release table's eligible counts were computed
-    /// against, and the epoch stamped on them. When the matcher vouches
-    /// for its demand signatures, the signature stands in for the demand
-    /// — equal signatures guarantee equal per-pool allocator verdicts, so
-    /// the epoch (and the counts behind it) holds across raw demand
+    /// The key of the head demand the release table's eligible counts
+    /// were computed against, and the epoch stamped on them. A signature
+    /// key holds the epoch (and the counts behind it) across raw demand
     /// changes within one verdict class.
-    last_shadow_demand: Option<Demand>,
-    last_shadow_sig: Option<u64>,
+    last_shadow_key: Option<MemoKey>,
     shadow_demand_epoch: u64,
     /// SJF's index heap: `(requested_runtime, queue rank)`, so the next
     /// candidate is an O(1) peek instead of an O(queue) scan. Mirrors the
@@ -323,6 +375,11 @@ struct RunState {
     /// Attached observer, when any. `None` costs one branch per callback
     /// site — the unobserved hot path stays unobserved.
     obs: Option<Box<dyn SimObserver>>,
+    /// Whether a matcher was attached (see [`Simulation::with_matchmaking`]).
+    /// It keys what matchmaking mode adds beyond matching — granted disk,
+    /// disk overruns, and the match attempt/refusal counters and events —
+    /// so an attached [`MatchAll`] still runs in matchmaking mode.
+    matchmaking: bool,
     /// Deterministic event counters, tracked unconditionally.
     counters: RunCounters,
     /// Time-weighted accumulators for queue statistics.
@@ -368,8 +425,8 @@ pub struct Simulation {
     churn: Vec<ChurnEvent>,
     observer: Option<Box<dyn SimObserver>>,
     /// Matchmaking layer, when active (see [`Simulation::with_matchmaking`]).
-    /// `None` — the default — is the legacy capacity-only allocation path,
-    /// byte-identical to every simulation ever run without it.
+    /// `None` — the default — allocates through [`MatchAll`], byte-identical
+    /// to every simulation ever run without a matcher.
     matchmaking: Option<Box<dyn PoolMatcher>>,
 }
 
@@ -401,20 +458,6 @@ impl Simulation {
             observer: None,
             matchmaking: None,
         }
-    }
-
-    /// Build with a caller-provided estimator (custom implementations).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use Simulation::builder().boxed_estimator(...) — named estimators should go \
-                through EstimatorSpec instead"
-    )]
-    pub fn with_estimator(
-        cfg: SimConfig,
-        cluster: Cluster,
-        estimator: Box<dyn ResourceEstimator>,
-    ) -> Self {
-        Simulation::from_parts(cfg, cluster, estimator)
     }
 
     /// Attach an observer to the run. Attaching more than once stacks the
@@ -500,10 +543,10 @@ impl Simulation {
     /// counting the ones that do not ("jobs whose full request can never
     /// be satisfied are dropped up front"). The first job's submit —
     /// dropped or not — is captured as the run's `first_submit`.
-    fn next_surviving<I: Iterator<Item = Job>>(
+    fn next_surviving<I: Iterator<Item = Job>, M: PoolMatcher + ?Sized>(
         feed: &mut I,
         gate: &Cluster,
-        mut matcher: Option<&mut (dyn PoolMatcher + 'static)>,
+        matcher: &mut M,
         first_submit: &mut Option<Time>,
         dropped: &mut usize,
     ) -> Option<Job> {
@@ -513,14 +556,8 @@ impl Simulation {
                 *first_submit = Some(job.submit);
             }
             let request = requested_demand(&job);
-            let eligible = match matcher.as_deref_mut() {
-                Some(m) => {
-                    m.prepare(&request);
-                    gate.nodes_satisfying_matched(&request, m)
-                }
-                None => gate.nodes_satisfying(&request),
-            };
-            if eligible < job.nodes {
+            matcher.prepare(&request);
+            if gate.nodes_satisfying_matched(&request, matcher) < job.nodes {
                 *dropped += 1;
                 continue;
             }
@@ -558,12 +595,30 @@ impl Simulation {
         }
     }
 
-    /// The event loop shared by every `run*` entry point. Arrivals come
+    /// The entry shared by every `run*` method. The matcher is chosen once
+    /// per run: the attached one behind dynamic dispatch, or the
+    /// zero-sized [`MatchAll`] — statically dispatched, so native
+    /// allocation compiles to plain capacity checks.
+    fn run_core<I: Iterator<Item = Job>>(mut self, feed: I, arena: &mut SimArena) -> SimResult {
+        match self.matchmaking.take() {
+            Some(mut matcher) => self.run_matched(feed, arena, &mut *matcher, true),
+            None => self.run_matched(feed, arena, &mut MatchAll, false),
+        }
+    }
+
+    /// The event loop, one instantiation per matcher type. Arrivals come
     /// straight from `feed` — never materialized, never heaped — merged
     /// against the event queue on `(time, tie)` where the feed always wins
     /// time ties: arrivals historically carried the lowest seeded
     /// sequence numbers, so this reproduces the seeded order exactly.
-    fn run_core<I: Iterator<Item = Job>>(mut self, mut feed: I, arena: &mut SimArena) -> SimResult {
+    /// `matchmaking` records whether a matcher was attached at all.
+    fn run_matched<I: Iterator<Item = Job>, M: PoolMatcher + ?Sized>(
+        mut self,
+        mut feed: I,
+        arena: &mut SimArena,
+        matcher: &mut M,
+        matchmaking: bool,
+    ) -> SimResult {
         let total_nodes = self.cluster.total_nodes();
         let expected_jobs = {
             let (lower, upper) = feed.size_hint();
@@ -616,25 +671,21 @@ impl Simulation {
             },
             running_gen: 0,
             retry_epoch: 0,
-            free_cache: {
-                let mut v = mem::take(&mut arena.free_cache);
-                v.clear();
-                v
+            free_cache: FreeCache {
+                rows: {
+                    let mut v = mem::take(&mut arena.free_cache);
+                    v.clear();
+                    v
+                },
+                stamp: 0,
             },
-            free_cache_sig: {
-                let mut v = mem::take(&mut arena.free_cache_sig);
-                v.clear();
-                v
-            },
-            free_cache_stamp: 0,
             release_table: {
                 let mut t = mem::take(&mut arena.release_table);
                 t.clear();
                 t
             },
             shadow_cache: None,
-            last_shadow_demand: None,
-            last_shadow_sig: None,
+            last_shadow_key: None,
             shadow_demand_epoch: 0,
             sjf_heap: {
                 let mut h = mem::take(&mut arena.sjf_heap);
@@ -651,6 +702,7 @@ impl Simulation {
             last_completion: Time::ZERO,
             dropped_jobs: 0,
             obs: self.observer.take(),
+            matchmaking,
             counters: RunCounters::default(),
             last_event_time: Time::ZERO,
             queue_len_time: 0.0,
@@ -693,7 +745,7 @@ impl Simulation {
         let mut pending = Self::next_surviving(
             &mut feed,
             pristine.as_ref().unwrap_or(&self.cluster),
-            self.matchmaking.as_deref_mut(),
+            matcher,
             &mut first_submit_seen,
             &mut state.dropped_jobs,
         );
@@ -741,7 +793,7 @@ impl Simulation {
                 }
                 let queue_len = state.queue.len();
                 let slot = state.store.insert(job, SCOPE_UNRESOLVED);
-                let queued = self.admit(&mut state, slot, 0, queue_len);
+                let queued = self.admit(&mut state, matcher, slot, 0, queue_len);
                 if self.cfg.max_estimation_attempts == 0 {
                     // Degenerate configuration: estimation disabled
                     // outright, so even first submissions bypass.
@@ -762,7 +814,7 @@ impl Simulation {
                 pending = Self::next_surviving(
                     &mut feed,
                     pristine.as_ref().unwrap_or(&self.cluster),
-                    self.matchmaking.as_deref_mut(),
+                    matcher,
                     &mut first_submit_seen,
                     &mut state.dropped_jobs,
                 );
@@ -803,7 +855,7 @@ impl Simulation {
                 self.advance_clock(&mut state, now);
                 match event {
                     Event::ExecutionEnd { run_id, success } => {
-                        self.finish_execution(&mut state, now, run_id, success);
+                        self.finish_execution(&mut state, matcher, now, run_id, success);
                     }
                     Event::Churn { index } => {
                         let ev = self.churn[index];
@@ -828,7 +880,7 @@ impl Simulation {
                     }
                 }
             }
-            self.schedule(&mut state, now);
+            self.schedule(&mut state, matcher, now);
             // A pass ends either with an empty queue or because the head
             // refused to start — in the latter case the head is now both
             // fresh and proven blocked.
@@ -858,7 +910,6 @@ impl Simulation {
             group_slots,
             group_epoch_by_slot,
             free_cache,
-            free_cache_sig,
             release_table,
             sjf_heap,
             pool_busy_time,
@@ -927,8 +978,7 @@ impl Simulation {
         arena.store = store;
         arena.runs = runs;
         arena.release_table = release_table;
-        arena.free_cache = free_cache;
-        arena.free_cache_sig = free_cache_sig;
+        arena.free_cache = free_cache.rows;
         arena.group_slots = group_slots;
         arena.group_epoch_by_slot = group_epoch_by_slot;
         arena.sjf_heap = sjf_heap;
@@ -945,7 +995,16 @@ impl Simulation {
 
     /// Handle an execution's end: release nodes, deliver feedback, record or
     /// requeue.
-    fn finish_execution(&mut self, state: &mut RunState, now: Time, run_id: u64, success: bool) {
+    // Out of line for the same reason as `schedule`.
+    #[inline(never)]
+    fn finish_execution<M: PoolMatcher + ?Sized>(
+        &mut self,
+        state: &mut RunState,
+        matcher: &mut M,
+        now: Time,
+        run_id: u64,
+        success: bool,
+    ) {
         let run = state.runs.take(run_id);
         state.running_gen += 1;
         state.retry_epoch += 1;
@@ -958,10 +1017,10 @@ impl Simulation {
         let job = state.store.job(slot).clone();
         let resource_failure = run.flags & run_flags::RESOURCE_FAILURE != 0;
         let min_mem = self.cluster.allocation_min_mem(&run.alloc);
-        // Granted disk is a matchmaking-mode concept: the legacy path
-        // reports zero, keeping feedback bytes identical for every
+        // Granted disk is a matchmaking-mode concept: a run without a
+        // matcher reports zero, keeping feedback bytes identical for every
         // pre-matchmaking configuration.
-        let min_disk = if self.matchmaking.is_some() {
+        let min_disk = if state.matchmaking {
             self.cluster.allocation_min_disk(&run.alloc)
         } else {
             0
@@ -987,10 +1046,10 @@ impl Simulation {
                 // A failed run's measurement is truncated at the
                 // allocation's ceiling. Disk is ceilinged only under
                 // matchmaking, where the allocation has a disk floor at
-                // all (legacy granted disk is a flat zero).
+                // all (without a matcher granted disk is a flat zero).
                 let mut used = used_demand(&job);
                 used.mem_kb = used.mem_kb.min(min_mem);
-                if self.matchmaking.is_some() {
+                if state.matchmaking {
                     used.disk_kb = used.disk_kb.min(min_disk);
                 }
                 Feedback::explicit(false, used)
@@ -1051,7 +1110,7 @@ impl Simulation {
                 state.counters.admissions += 1;
                 state.counters.requeued += 1;
                 let queue_len = state.queue.len();
-                let queued = self.admit(state, slot, attempts, queue_len);
+                let queued = self.admit(state, matcher, slot, attempts, queue_len);
                 if attempts >= self.cfg.max_estimation_attempts {
                     state.counters.estimator_bypassed += 1;
                     if let Some(obs) = state.obs.as_deref_mut() {
@@ -1105,9 +1164,10 @@ impl Simulation {
     /// `queue_len` is passed explicitly because the callers' conventions
     /// differ: a refresh excludes the entry being refreshed, while a
     /// (re)admission counts every entry already waiting.
-    fn admit(
+    fn admit<M: PoolMatcher + ?Sized>(
         &mut self,
         state: &mut RunState,
+        matcher: &mut M,
         slot: usize,
         attempts: u32,
         queue_len: usize,
@@ -1133,17 +1193,10 @@ impl Simulation {
             (d, self.scope_slot_of(state, slot))
         };
         let lowered = demand != request && demand.within(&request);
-        let benefited = match self.matchmaking.as_deref_mut() {
-            Some(m) => {
-                m.prepare(&demand);
-                let eligible = self.cluster.nodes_satisfying_matched(&demand, m);
-                m.prepare(&request);
-                eligible > self.cluster.nodes_satisfying_matched(&request, m)
-            }
-            None => {
-                self.cluster.nodes_satisfying(&demand) > self.cluster.nodes_satisfying(&request)
-            }
-        };
+        matcher.prepare(&demand);
+        let eligible = self.cluster.nodes_satisfying_matched(&demand, matcher);
+        matcher.prepare(&request);
+        let benefited = eligible > self.cluster.nodes_satisfying_matched(&request, matcher);
         Queued {
             job: slot,
             attempts,
@@ -1206,61 +1259,16 @@ impl Simulation {
             }
     }
 
-    /// Upper bound on the eligible-free node count for `demand` under the
-    /// current retry epoch, memoized per distinct demand. Within one epoch
-    /// the free set only shrinks (starts allocate; releases and churn bump
-    /// the epoch), so `nodes > bound` proves `try_allocate` would refuse
-    /// at its availability gate — its only refusal condition — without
-    /// calling it.
-    fn free_bound(
-        cluster: &Cluster,
-        state: &mut RunState,
-        demand: &Demand,
-        matcher: Option<&mut (dyn PoolMatcher + 'static)>,
-    ) -> u32 {
-        if state.free_cache_stamp != state.retry_epoch {
-            state.free_cache.clear();
-            state.free_cache_sig.clear();
-            state.free_cache_stamp = state.retry_epoch;
-        }
-        // Matcher verdicts are pure in (demand, pool ad), so a matched
-        // count is memoizable under exactly the same epoch reasoning as
-        // the capacity-only one. A vouched signature collapses the memo
-        // further: one entry per verdict class instead of per demand.
-        match matcher {
-            Some(m) => {
-                m.prepare(demand);
-                if let Some(s) = m.demand_signature() {
-                    if let Some(&(_, f)) = state.free_cache_sig.iter().find(|(k, _)| *k == s) {
-                        return f;
-                    }
-                    let f = cluster.free_nodes_satisfying_matched(demand, m);
-                    state.free_cache_sig.push((s, f));
-                    f
-                } else {
-                    if let Some(&(_, f)) = state.free_cache.iter().find(|(d, _)| d == demand) {
-                        return f;
-                    }
-                    let f = cluster.free_nodes_satisfying_matched(demand, m);
-                    state.free_cache.push((*demand, f));
-                    f
-                }
-            }
-            None => {
-                if let Some(&(_, f)) = state.free_cache.iter().find(|(d, _)| d == demand) {
-                    return f;
-                }
-                let f = cluster.free_nodes_satisfying(demand);
-                state.free_cache.push((*demand, f));
-                f
-            }
-        }
-    }
-
     /// Try to start the queued entry at `idx`, refreshing its estimate if
     /// feedback has arrived since it was admitted. Removes it from the
     /// queue and returns true on success.
-    fn try_start_at(&mut self, state: &mut RunState, idx: usize, now: Time) -> bool {
+    fn try_start_at<M: PoolMatcher + ?Sized>(
+        &mut self,
+        state: &mut RunState,
+        matcher: &mut M,
+        idx: usize,
+        now: Time,
+    ) -> bool {
         // One copy of the entry decides everything the refusal fast
         // paths need — the columns are gathered once, not per check.
         let q = state.queue.get(idx);
@@ -1283,7 +1291,7 @@ impl Simulation {
             // admission (`queue_len` counts *other* waiting jobs — see
             // `EstimateContext::queue_len`).
             let queue_len = state.queue.len() - 1;
-            let mut fresh = self.admit(state, q.job, q.attempts, queue_len);
+            let mut fresh = self.admit(state, matcher, q.job, q.attempts, queue_len);
             // A refresh changes the estimate, never the queue position.
             fresh.seq = q.seq;
             let refreshed = (fresh.demand, fresh.nodes);
@@ -1295,75 +1303,46 @@ impl Simulation {
         // The entry is fresh past this point (refreshed above if needed),
         // so a skipped allocation attempt skips nothing else: demanding
         // more nodes than the epoch's free bound is exactly the refusal
-        // `try_allocate`'s availability gate would produce, side-effect
-        // free.
-        if job_nodes
-            > Self::free_bound(
-                &self.cluster,
-                state,
-                &demand,
-                self.matchmaking.as_deref_mut(),
-            )
-        {
+        // `try_allocate_matched`'s availability gate would produce,
+        // side-effect free.
+        let bound = state
+            .free_cache
+            .bound(state.retry_epoch, &self.cluster, &demand, matcher);
+        if job_nodes > bound {
             state.queue.set_failed_stamp(idx, state.retry_epoch);
             return false;
         }
-        // Reuse a finished slab slot when one is free. Peeked, not popped:
-        // a refused allocation must leave the free list untouched.
-        let run_id = state.runs.peek_id();
-        let alloc = match self.matchmaking.as_deref_mut() {
-            Some(m) => {
-                state.counters.match_attempts += 1;
-                if let Some(obs) = state.obs.as_deref_mut() {
-                    obs.on_match_attempt(now, state.store.job(q.job).id, job_nodes);
-                }
-                m.prepare(&demand);
-                self.cluster.try_allocate_matched(
-                    job_nodes,
-                    &demand,
-                    self.cfg.match_policy,
-                    run_id,
-                    m,
-                )
+        if state.matchmaking {
+            state.counters.match_attempts += 1;
+            if let Some(obs) = state.obs.as_deref_mut() {
+                obs.on_match_attempt(now, state.store.job(q.job).id, job_nodes);
             }
-            None => self
-                .cluster
-                .try_allocate(job_nodes, &demand, self.cfg.match_policy, run_id),
-        };
-        let Some(alloc) = alloc else {
+        }
+        // Reuse a finished slab slot when one is free. Peeked, not popped:
+        // a refused allocation must leave the free list untouched. The
+        // bound left the matcher prepared for `demand`.
+        let run_id = state.runs.peek_id();
+        let Some(alloc) = self.cluster.try_allocate_matched(
+            job_nodes,
+            &demand,
+            self.cfg.match_policy,
+            run_id,
+            matcher,
+        ) else {
             // The bound over-approximated (an earlier start in this epoch
             // shrank the free set); tighten it to the live count and
             // record the refusal — until the next execution end or churn
             // event it would repeat identically, so passes skip it.
-            let live = match self.matchmaking.as_deref_mut() {
-                Some(m) => {
-                    state.counters.match_refusals += 1;
-                    if let Some(obs) = state.obs.as_deref_mut() {
-                        obs.on_match_refused(now, state.store.job(q.job).id);
-                    }
-                    // Still prepared for `demand` from the refused attempt.
-                    self.cluster.free_nodes_satisfying_matched(&demand, m)
-                }
-                None => self.cluster.free_nodes_satisfying(&demand),
-            };
-            // Tighten whichever memo row served this demand (the matcher,
-            // when present, is still prepared for it).
-            match self
-                .matchmaking
-                .as_deref()
-                .and_then(|m| m.demand_signature())
-            {
-                Some(s) => {
-                    if let Some(slot) = state.free_cache_sig.iter_mut().find(|(k, _)| *k == s) {
-                        slot.1 = live;
-                    }
-                }
-                None => {
-                    if let Some(slot) = state.free_cache.iter_mut().find(|(d, _)| *d == demand) {
-                        slot.1 = live;
-                    }
+            if state.matchmaking {
+                state.counters.match_refusals += 1;
+                if let Some(obs) = state.obs.as_deref_mut() {
+                    obs.on_match_refused(now, state.store.job(q.job).id);
                 }
             }
+            let live = self.cluster.free_nodes_satisfying_matched(&demand, matcher);
+            state
+                .free_cache
+                .tighten(MemoKey::of(matcher, &demand), live);
             state.queue.set_failed_stamp(idx, state.retry_epoch);
             return false;
         };
@@ -1380,9 +1359,9 @@ impl Simulation {
         // regardless of the (smaller) estimated demand.
         let min_mem = self.cluster.allocation_min_mem(&alloc);
         let packages = self.cluster.allocation_packages(&alloc);
-        // Disk overruns only exist in matchmaking mode; the legacy bound
-        // is infinite so the check below is vacuously true there.
-        let min_disk = if self.matchmaking.is_some() {
+        // Disk overruns only exist in matchmaking mode; without a matcher
+        // the bound is infinite so the check below is vacuously true.
+        let min_disk = if state.matchmaking {
             self.cluster.allocation_min_disk(&alloc)
         } else {
             u64::MAX
@@ -1440,12 +1419,22 @@ impl Simulation {
     }
 
     /// One scheduling pass under the configured policy.
-    fn schedule(&mut self, state: &mut RunState, now: Time) {
+    // Kept out of line, as it was before the event loop became generic
+    // over the matcher: a generic fn with a single caller gets inlined
+    // into the loop, and there the backfill hunt ran ~5% slower on
+    // saturated EASY traces.
+    #[inline(never)]
+    fn schedule<M: PoolMatcher + ?Sized>(
+        &mut self,
+        state: &mut RunState,
+        matcher: &mut M,
+        now: Time,
+    ) {
         match self.cfg.scheduling {
             SchedulingPolicy::Fcfs => {
                 while !state.queue.is_empty() {
                     let head = state.queue.head_idx();
-                    if !self.try_start_at(state, head, now) {
+                    if !self.try_start_at(state, matcher, head, now) {
                         break;
                     }
                 }
@@ -1462,7 +1451,7 @@ impl Simulation {
                         state.queue.debug_first_min_runtime_idx(),
                         "heap selection must match the first-minimum scan"
                     );
-                    if !self.try_start_at(state, idx, now) {
+                    if !self.try_start_at(state, matcher, idx, now) {
                         break;
                     }
                     state.sjf_heap.pop();
@@ -1500,7 +1489,7 @@ impl Simulation {
                     let mut head_started = true;
                     while head_started && !state.queue.is_empty() {
                         let head = state.queue.head_idx();
-                        head_started = self.try_start_at(state, head, now);
+                        head_started = self.try_start_at(state, matcher, head, now);
                     }
                     if state.queue.len() < 2 {
                         break;
@@ -1515,52 +1504,32 @@ impl Simulation {
                     let head_demand = head.demand;
                     let head_job = head.job;
                     let head_nodes = head.nodes;
-                    // Prepare the matcher once for the head and thread its
-                    // interned demand signature into the eligible-count
-                    // epoch. A vouched signature (`Some`) guarantees the
-                    // full allocator predicate is unchanged across the
-                    // class, so the epoch holds still even when the raw
-                    // head demand moved; without one (native mode, or a
-                    // matcher like MatchAll that makes no claim) the
-                    // demand compare decides.
-                    let sig = self.matchmaking.as_deref_mut().map(|m| {
-                        m.prepare(&head_demand);
-                        m.demand_signature()
-                    });
-                    let moved = match sig {
-                        Some(Some(s)) => state.last_shadow_sig != Some(s),
-                        _ => state.last_shadow_demand != Some(head_demand),
-                    };
-                    if moved {
-                        state.last_shadow_demand = Some(head_demand);
-                        state.last_shadow_sig = sig.flatten();
+                    // Prepare the matcher once for the head and key the
+                    // eligible-count epoch by its memo key: a signature
+                    // guarantees the full allocator predicate is unchanged
+                    // across the class, so the epoch holds still even when
+                    // the raw head demand moved.
+                    matcher.prepare(&head_demand);
+                    let key = MemoKey::of(matcher, &head_demand);
+                    if state.last_shadow_key != Some(key) {
+                        state.last_shadow_key = Some(key);
                         state.shadow_demand_epoch += 1;
                     }
-                    let free_now = match self.matchmaking.as_deref_mut() {
-                        Some(m) => self.cluster.free_nodes_satisfying_matched(&head_demand, m),
-                        None => self.cluster.free_nodes_satisfying(&head_demand),
-                    };
+                    let free_now = self
+                        .cluster
+                        .free_nodes_satisfying_matched(&head_demand, matcher);
                     let crossing = {
                         let epoch = state.shadow_demand_epoch;
                         let runs = &state.runs;
                         let cluster = &self.cluster;
-                        // Prepared for `head_demand` by the free count above;
-                        // eligible counts below reuse that program set.
-                        let mut matcher = self.matchmaking.as_deref_mut();
                         state
                             .release_table
                             .crossing(free_now, head_nodes, epoch, |run_id| {
-                                let alloc = runs.alloc(run_id);
-                                match matcher.as_deref_mut() {
-                                    Some(m) => cluster.allocation_nodes_satisfying_matched(
-                                        alloc,
-                                        &head_demand,
-                                        m,
-                                    ),
-                                    None => {
-                                        cluster.allocation_nodes_satisfying(alloc, &head_demand)
-                                    }
-                                }
+                                cluster.allocation_nodes_satisfying_matched(
+                                    runs.alloc(run_id),
+                                    &head_demand,
+                                    matcher,
+                                )
                             })
                     };
                     // The incremental path must agree with the historical
@@ -1571,16 +1540,11 @@ impl Simulation {
                             .runs
                             .iter_live()
                             .map(|(end, alloc)| {
-                                let eligible = match self.matchmaking.as_deref_mut() {
-                                    Some(m) => self.cluster.allocation_nodes_satisfying_matched(
-                                        alloc,
-                                        &head_demand,
-                                        m,
-                                    ),
-                                    None => self
-                                        .cluster
-                                        .allocation_nodes_satisfying(alloc, &head_demand),
-                                };
+                                let eligible = self.cluster.allocation_nodes_satisfying_matched(
+                                    alloc,
+                                    &head_demand,
+                                    matcher,
+                                );
                                 (end, eligible)
                             })
                             .collect();
@@ -1633,14 +1597,7 @@ impl Simulation {
                         let structural = state.structural_epoch;
                         let feedback = state.feedback_epoch;
                         let cluster = &self.cluster;
-                        let mut matcher = self.matchmaking.as_deref_mut();
-                        if state.free_cache_stamp != epoch {
-                            state.free_cache.clear();
-                            state.free_cache_sig.clear();
-                            state.free_cache_stamp = epoch;
-                        }
-                        let cache = &mut state.free_cache;
-                        let cache_sig = &mut state.free_cache_sig;
+                        let free_cache = &mut state.free_cache;
                         let slots = &state.group_epoch_by_slot;
                         let (rts, stamps, colds) = state.queue.hunt_columns(hunt_from);
                         let mut found = None;
@@ -1664,52 +1621,11 @@ impl Simulation {
                                     SCOPE_GLOBAL => q.feedback_stamp != feedback,
                                     slot => slots[slot as usize] > q.feedback_stamp,
                                 };
-                            if !needs_refresh {
-                                let bound = match matcher.as_deref_mut() {
-                                    Some(m) => {
-                                        // Preparing before the probe is what
-                                        // makes the signature key available;
-                                        // it is a memo hit itself for every
-                                        // demand class seen this epoch.
-                                        m.prepare(&q.demand);
-                                        if let Some(s) = m.demand_signature() {
-                                            if let Some(&(_, f)) =
-                                                cache_sig.iter().find(|(k, _)| *k == s)
-                                            {
-                                                f
-                                            } else {
-                                                let f = cluster
-                                                    .free_nodes_satisfying_matched(&q.demand, m);
-                                                cache_sig.push((s, f));
-                                                f
-                                            }
-                                        } else if let Some(&(_, f)) =
-                                            cache.iter().find(|(d, _)| d == &q.demand)
-                                        {
-                                            f
-                                        } else {
-                                            let f =
-                                                cluster.free_nodes_satisfying_matched(&q.demand, m);
-                                            cache.push((q.demand, f));
-                                            f
-                                        }
-                                    }
-                                    None => {
-                                        if let Some(&(_, f)) =
-                                            cache.iter().find(|(d, _)| d == &q.demand)
-                                        {
-                                            f
-                                        } else {
-                                            let f = cluster.free_nodes_satisfying(&q.demand);
-                                            cache.push((q.demand, f));
-                                            f
-                                        }
-                                    }
-                                };
-                                if q.nodes > bound {
-                                    *stamp = epoch;
-                                    continue;
-                                }
+                            if !needs_refresh
+                                && q.nodes > free_cache.bound(epoch, cluster, &q.demand, matcher)
+                            {
+                                *stamp = epoch;
+                                continue;
                             }
                             found = Some(hunt_from + off);
                             break;
@@ -1719,7 +1635,7 @@ impl Simulation {
                     let Some(idx) = candidate else {
                         break;
                     };
-                    if self.try_start_at(state, idx, now) {
+                    if self.try_start_at(state, matcher, idx, now) {
                         started = true;
                         break;
                     }

@@ -7,8 +7,8 @@
 //! jobs sorted by conservative completion time *incrementally* — O(running)
 //! memmove on start/finish instead of an O(R log R) rebuild per pass — and
 //! caches each running job's eligible-node count under a head-demand epoch
-//! so `allocation_nodes_satisfying` is only re-walked when the head demand
-//! actually changed. The crossing walk early-exits at the release that
+//! so `allocation_nodes_satisfying_matched` is only re-walked when the head
+//! demand actually changed. The crossing walk early-exits at the release that
 //! satisfies the head, which the sort-then-scan shape never could.
 //!
 //! The computed crossing time is exactly what [`crate::scheduler::shadow_time`]

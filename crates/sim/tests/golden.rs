@@ -16,7 +16,7 @@
 //! and review the resulting diffs like any other code change.
 
 use resmatch_cluster::builder::paper_cluster;
-use resmatch_cluster::MatchAll;
+use resmatch_cluster::{Capacity, Demand, MatchAll, PoolMatcher};
 use resmatch_sim::prelude::*;
 use resmatch_workload::load::scale_to_load;
 use resmatch_workload::synthetic::{generate, Cm5Config};
@@ -406,7 +406,7 @@ fn matchmaking_workload() -> Workload {
 
 fn matchmaking_cluster_ads() -> (resmatch_cluster::Cluster, Vec<resmatch_classad::PoolAd>) {
     use resmatch_classad::PoolAd;
-    use resmatch_cluster::{Capacity, ClusterBuilder};
+    use resmatch_cluster::ClusterBuilder;
     let big = Capacity::new(32 * 1024, 2 * 1024 * 1024, 0xF);
     let small = Capacity::memory(24 * 1024);
     let cluster = ClusterBuilder::new()
@@ -417,16 +417,57 @@ fn matchmaking_cluster_ads() -> (resmatch_cluster::Cluster, Vec<resmatch_classad
     (cluster, ads)
 }
 
-fn run_matchmaking(cfg: SimConfig, rank: Option<&str>) -> SimResult {
-    let w = matchmaking_workload();
-    let (cluster, ads) = matchmaking_cluster_ads();
-    let mut mm = resmatch_classad::Matchmaker::new(&ads);
-    if let Some(rank) = rank {
-        mm = mm.with_rank(rank).expect("static rank expression");
+/// Forwards the matching calls to `M` but vouches for nothing: no demand
+/// signature and no eligibility bitset. Runs through it take the engine's
+/// raw-demand memo keys and the cluster's per-pool `matches` walks with a
+/// matcher that really constrains — paths [`MatchAll`] reaches only
+/// while constraining nothing.
+struct NoClaims<M>(M);
+
+impl<M: PoolMatcher> PoolMatcher for NoClaims<M> {
+    fn prepare(&mut self, demand: &Demand) {
+        self.0.prepare(demand);
     }
-    Simulation::new(cfg, cluster, EstimatorSpec::paper_successive())
-        .with_matchmaking(Box::new(mm))
-        .run(&w)
+
+    fn matches(&mut self, pool: usize, capacity: &Capacity) -> bool {
+        self.0.matches(pool, capacity)
+    }
+
+    fn rank(&mut self, pool: usize, capacity: &Capacity) -> f64 {
+        self.0.rank(pool, capacity)
+    }
+
+    fn is_ranked(&self) -> bool {
+        self.0.is_ranked()
+    }
+}
+
+/// Run a matchmaking bench scenario through the matchmaker and through
+/// [`NoClaims`] around it, and pin both runs to the same digest: the
+/// signature-keyed memos must be invisible in the output.
+fn check_matchmaking_pinned(name: &str, expected: u64, cfg: SimConfig, rank: Option<&str>) {
+    let w = matchmaking_workload();
+    for no_claims in [false, true] {
+        let (cluster, ads) = matchmaking_cluster_ads();
+        let mut mm = resmatch_classad::Matchmaker::new(&ads);
+        if let Some(rank) = rank {
+            mm = mm.with_rank(rank).expect("static rank expression");
+        }
+        let matcher: Box<dyn PoolMatcher> = if no_claims {
+            Box::new(NoClaims(mm))
+        } else {
+            Box::new(mm)
+        };
+        let r = Simulation::new(cfg, cluster, EstimatorSpec::paper_successive())
+            .with_matchmaking(matcher)
+            .run(&w);
+        let label = if no_claims {
+            format!("{name} through NoClaims")
+        } else {
+            name.to_string()
+        };
+        check_pinned(&label, expected, &r);
+    }
 }
 
 /// Pinned digest of the `matchmaking_fcfs_successive` bench scenario.
@@ -437,16 +478,24 @@ fn run_matchmaking(cfg: SimConfig, rank: Option<&str>) -> SimResult {
 /// as the PR-5 engine-cache overhaul).
 #[test]
 fn golden_matchmaking_fcfs_successive_hash_pinned() {
-    let r = run_matchmaking(SimConfig::default(), None);
-    check_pinned("matchmaking_fcfs_successive", 0x5e30_1bed_f86a_1b1e, &r);
+    check_matchmaking_pinned(
+        "matchmaking_fcfs_successive",
+        0x5e30_1bed_f86a_1b1e,
+        SimConfig::default(),
+        None,
+    );
 }
 
 /// Pinned digest of the `matchmaking_sjf_successive` bench scenario.
 #[test]
 fn golden_matchmaking_sjf_successive_hash_pinned() {
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::Sjf);
-    let r = run_matchmaking(cfg, None);
-    check_pinned("matchmaking_sjf_successive", 0x5c01_28f4_979e_e207, &r);
+    check_matchmaking_pinned(
+        "matchmaking_sjf_successive",
+        0x5c01_28f4_979e_e207,
+        cfg,
+        None,
+    );
 }
 
 /// Pinned digest of the `matchmaking_easy_successive` bench scenario —
@@ -455,8 +504,12 @@ fn golden_matchmaking_sjf_successive_hash_pinned() {
 #[test]
 fn golden_matchmaking_easy_successive_hash_pinned() {
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
-    let r = run_matchmaking(cfg, None);
-    check_pinned("matchmaking_easy_successive", 0xfc7e_a838_e815_29e6, &r);
+    check_matchmaking_pinned(
+        "matchmaking_easy_successive",
+        0xfc7e_a838_e815_29e6,
+        cfg,
+        None,
+    );
 }
 
 /// Pinned digest of the `matchmaking_fcfs_ranked` bench scenario: a
@@ -464,8 +517,12 @@ fn golden_matchmaking_easy_successive_hash_pinned() {
 /// the candidate-sort path.
 #[test]
 fn golden_matchmaking_fcfs_ranked_hash_pinned() {
-    let r = run_matchmaking(SimConfig::default(), Some("other.Memory"));
-    check_pinned("matchmaking_fcfs_ranked", 0x2111_68e7_c6fe_5a69, &r);
+    check_matchmaking_pinned(
+        "matchmaking_fcfs_ranked",
+        0x2111_68e7_c6fe_5a69,
+        SimConfig::default(),
+        Some("other.Memory"),
+    );
 }
 
 #[test]

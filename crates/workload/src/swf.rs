@@ -46,6 +46,14 @@ pub enum SwfErrorKind {
         /// Offending token.
         token: String,
     },
+    /// A field parsed but does not fit the job model: a time beyond the
+    /// millisecond clock's range, or a count beyond `u32`.
+    OutOfRange {
+        /// 1-based SWF field index.
+        field: usize,
+        /// Offending value.
+        value: i64,
+    },
 }
 
 impl fmt::Display for SwfError {
@@ -58,6 +66,11 @@ impl fmt::Display for SwfError {
                 f,
                 "line {}: field {} is not an integer: {:?}",
                 self.line, field, token
+            ),
+            SwfErrorKind::OutOfRange { field, value } => write!(
+                f,
+                "line {}: field {} is out of range: {}",
+                self.line, field, value
             ),
         }
     }
@@ -96,6 +109,29 @@ fn field<T: FromStr>(tokens: &[&str], idx0: usize, line: usize) -> Result<T, Swf
     })
 }
 
+fn out_of_range(line: usize, idx0: usize, value: i64) -> SwfError {
+    SwfError {
+        line,
+        kind: SwfErrorKind::OutOfRange {
+            field: idx0 + 1,
+            value,
+        },
+    }
+}
+
+/// A whole-second field as a [`Time`], negatives floored at zero.
+fn secs_field(value: i64, idx0: usize, line: usize) -> Result<Time, SwfError> {
+    (value.max(0) as u64)
+        .checked_mul(1000)
+        .map(Time::from_millis)
+        .ok_or_else(|| out_of_range(line, idx0, value))
+}
+
+/// A count field as a `u32`, values below `floor` raised to it.
+fn u32_field(value: i64, floor: i64, idx0: usize, line: usize) -> Result<u32, SwfError> {
+    u32::try_from(value.max(floor)).map_err(|_| out_of_range(line, idx0, value))
+}
+
 /// Parse one SWF job line (already known not to be a comment).
 fn parse_job_line(line_no: usize, line: &str) -> Result<Job, SwfError> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -125,16 +161,16 @@ fn parse_job_line(line_no: usize, line: &str) -> Result<Job, SwfError> {
         let _: i64 = field(&tokens, idx0, line_no)?;
     }
 
-    let runtime = Time::from_secs(run_time.max(0) as u64);
+    let runtime = secs_field(run_time, 3, line_no)?;
     let requested_runtime = if requested_time > 0 {
-        Time::from_secs(requested_time as u64)
+        secs_field(requested_time, 8, line_no)?
     } else {
         runtime
     };
     let nodes = if requested_procs > 0 {
-        requested_procs as u32
+        u32_field(requested_procs, 1, 7, line_no)?
     } else {
-        allocated.max(1) as u32
+        u32_field(allocated, 1, 4, line_no)?
     };
     let used_mem_kb = used_mem.max(0) as u64;
     let requested_mem_kb = if requested_mem > 0 {
@@ -144,9 +180,9 @@ fn parse_job_line(line_no: usize, line: &str) -> Result<Job, SwfError> {
     };
     Ok(Job {
         id: JobId(job_number.max(0) as u64),
-        user: user.max(0) as u32,
-        app: app.max(0) as u32,
-        submit: Time::from_secs(submit.max(0) as u64),
+        user: u32_field(user, 0, 11, line_no)?,
+        app: u32_field(app, 0, 13, line_no)?,
+        submit: secs_field(submit, 1, line_no)?,
         runtime,
         requested_runtime,
         nodes,
@@ -329,6 +365,35 @@ mod tests {
         }
         // Display is human readable and names the line.
         assert!(err.to_string().contains("line 1"));
+    }
+
+    #[test]
+    fn out_of_range_fields_are_errors() {
+        // 10^17 s overflows the millisecond clock; 2^32 + 1 processors
+        // once wrapped silently to a 1-node job. Requested processors are
+        // -1 in the base line, so the allocated count (field 5) is read.
+        let base = "1 0 5 100 32 -1 4096 -1 120 32768 1 7 -1 3 1 -1 -1 -1";
+        let time = "100000000000000000";
+        let count = "4294967297";
+        for (field, token) in [
+            (2, time),
+            (4, time),
+            (9, time),
+            (5, count),
+            (8, count),
+            (12, count),
+            (14, count),
+        ] {
+            let mut tokens: Vec<&str> = base.split(' ').collect();
+            tokens[field - 1] = token;
+            let err = parse_str(&format!("; header\n{}", tokens.join(" "))).unwrap_err();
+            assert_eq!(err.line, 2);
+            let value = token.parse().unwrap();
+            assert_eq!(err.kind, SwfErrorKind::OutOfRange { field, value });
+            assert!(err.to_string().contains(&format!("field {field}")));
+        }
+        let max = base.replace("4096 -1", "4096 4294967295");
+        assert_eq!(parse_str(&max).unwrap().workload.jobs()[0].nodes, u32::MAX);
     }
 
     #[test]
