@@ -184,6 +184,10 @@ where
         } else {
             (0, 0)
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "throughput timing; the timed run's result does not depend on it"
+        )]
         let t = Instant::now();
         let r = run();
         best_s = best_s.min(t.elapsed().as_secs_f64());
@@ -421,6 +425,10 @@ fn service_queries(measurements: &mut Vec<Measurement>, seed: u64, ops: u64, gro
             (0, 0)
         };
         let taken = std::mem::take(&mut shards);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "throughput timing; the timed queries do not depend on it"
+        )]
         let t = Instant::now();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();

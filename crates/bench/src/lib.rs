@@ -9,6 +9,17 @@
 //! run|check|render` is the full pipeline.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use resmatch_repro::manifest;
 use resmatch_repro::runner::RunSpec;
@@ -82,6 +93,10 @@ pub fn header(title: &str) {
 /// `--seed` (defaulting to the manifest's full scale) and print the
 /// report. Every `src/bin` experiment wrapper is one call to this.
 pub fn run_manifest_experiment(id: &str) {
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: every experiment binary names an entry in the repro manifest"
+    )]
     let def = manifest::find(id)
         .expect("invariant: every experiment binary names an entry in the repro manifest");
     let args = ExperimentArgs::parse(def.default_jobs);

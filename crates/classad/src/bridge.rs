@@ -37,6 +37,7 @@ pub fn machine_ad(capacity: &Capacity) -> ClassAd {
             ad.insert_bool(&format!("HasPkg{bit}"), true);
         }
     }
+    #[expect(clippy::expect_used, reason = "invariant: static expression parses")]
     ad.insert_expr("Requirements", MACHINE_REQ_TEXT)
         .expect("invariant: static expression parses");
     ad
@@ -54,6 +55,7 @@ pub fn job_ad(demand: &Demand) -> ClassAd {
             requirements.push_str(&format!(" && other.HasPkg{bit} == true"));
         }
     }
+    #[expect(clippy::expect_used, reason = "invariant: generated expression parses")]
     ad.insert_expr("Requirements", &requirements)
         .expect("invariant: generated expression parses");
     ad

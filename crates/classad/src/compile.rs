@@ -148,6 +148,10 @@ impl CompiledExpr {
     ///
     /// Rows shorter than their schema are treated as all-absent past their
     /// end (slots out of range read as `undefined`).
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the compiler emits stack-balanced programs, so every operator finds its operands"
+    )]
     pub fn eval(&self, my: &[Value], other: &[Value], stack: &mut Vec<Value>) -> Value {
         fn slot(row: &[Value], i: u16) -> Value {
             row.get(i as usize).cloned().unwrap_or(Value::Undefined)

@@ -17,7 +17,7 @@
 //!    exactly, and the per-mask `HasPkgN == true` atoms become the subset
 //!    test. If the texts ever stop lowering — or for arbitrary operator
 //!    `--constrain`/`--rank` expressions — a postfix-interpreter fallback
-//!    ([`Interp`]) is built lazily and evaluated once per *signature*,
+//!    (`Interp`) is built lazily and evaluated once per *signature*,
 //!    never per attempt. Machine-only constraints fold into a static bit
 //!    row at build time; machine-only ranks memoize per pool for the
 //!    matcher's lifetime; demand-reading ranks memoize per (signature,
@@ -301,6 +301,7 @@ impl Matchmaker {
     pub fn with_constraint(mut self, text: &str) -> Result<Self, ParseError> {
         let expr = parse(text)?;
         self.ensure_interp();
+        #[expect(clippy::expect_used, reason = "invariant: ensure_interp just ran")]
         let interp = self
             .interp
             .as_mut()
@@ -332,6 +333,7 @@ impl Matchmaker {
     pub fn with_rank(mut self, text: &str) -> Result<Self, ParseError> {
         let expr = parse(text)?;
         self.ensure_interp();
+        #[expect(clippy::expect_used, reason = "invariant: ensure_interp just ran")]
         let interp = self
             .interp
             .as_mut()
@@ -441,12 +443,20 @@ impl Matchmaker {
     /// row: interpret it once per surviving pool (exactly the pools the
     /// old `&&` short-circuit would have evaluated it on).
     fn constrain_sig(&mut self, demand: &Demand, base: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: job-reading constraint implies interp"
+        )]
         let interp = self
             .interp
             .as_mut()
             .expect("invariant: job-reading constraint implies interp");
         interp.job_row[JOB_MEM] = clamped(demand.mem_kb);
         interp.job_row[JOB_DISK] = clamped(demand.disk_kb);
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: constraint_reads_my implies constraint"
+        )]
         let c = self
             .constraint
             .as_ref()
@@ -467,6 +477,7 @@ impl Matchmaker {
     /// exactly-`true` checks the pre-index matcher ran per attempt, once
     /// per (signature, pool).
     fn interpret_sig(&mut self, demand: &Demand, base: usize) {
+        #[expect(clippy::expect_used, reason = "invariant: fallback implies interp")]
         let interp = self
             .interp
             .as_mut()
@@ -482,6 +493,10 @@ impl Matchmaker {
         } = &mut **interp;
         job_row[JOB_MEM] = clamped(demand.mem_kb);
         job_row[JOB_DISK] = clamped(demand.disk_kb);
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: bridge job ads always carry Requirements"
+        )]
         let prog = job_programs.entry(demand.packages).or_insert_with(|| {
             // The program shape only depends on the mask; memory and disk
             // enter as slots. Reuse the bridge's generator verbatim.
@@ -508,12 +523,17 @@ impl Matchmaker {
     /// on matched pools only (the allocator ranks candidates, which are
     /// matched by construction).
     fn rank_sig(&mut self, demand: &Demand, elig_base: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: job-reading rank implies interp"
+        )]
         let interp = self
             .interp
             .as_mut()
             .expect("invariant: job-reading rank implies interp");
         interp.job_row[JOB_MEM] = clamped(demand.mem_kb);
         interp.job_row[JOB_DISK] = clamped(demand.disk_kb);
+        #[expect(clippy::expect_used, reason = "invariant: rank_reads_my implies rank")]
         let r = self
             .rank
             .as_ref()
@@ -565,6 +585,10 @@ impl Matchmaker {
         // the fallback and the tree-walking bridge stay textually
         // identical.
         let machine_ad = bridge::machine_ad(&Capacity::memory(0));
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: bridge machine ads always carry Requirements"
+        )]
         let machine_req = compile(
             machine_ad
                 .expr("requirements")

@@ -6,6 +6,11 @@
 //! (`false && undefined = false`, `true || undefined = true`). Type
 //! mismatches produce `Error`, which dominates everything.
 
+#![allow(
+    clippy::float_cmp,
+    reason = "ClassAd `==`/`!=` on numbers is exact by the language's specification"
+)]
+
 use std::fmt;
 
 /// A ClassAd runtime value.

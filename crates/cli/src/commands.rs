@@ -339,6 +339,10 @@ pub fn cmd_serve(tokens: Vec<String>) -> CliResult<String> {
         .feedback_batch(batch);
     let mut svc = EstimatorService::new(&cfg).map_err(|e| CliError::new(format!("{e}")))?;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports the serve loop's wall time; the estimates do not depend on it"
+    )]
     let start = std::time::Instant::now();
     for job in service_stream(ops, groups, seed) {
         let granted = svc.estimate(&job);

@@ -51,6 +51,10 @@ impl CapacityLadder {
     }
 
     /// Largest capacity in the cluster.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a ladder is non-empty by construction"
+    )]
     pub fn max(&self) -> u64 {
         *self
             .rungs
@@ -59,6 +63,10 @@ impl CapacityLadder {
     }
 
     /// Smallest capacity in the cluster.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a ladder is non-empty by construction"
+    )]
     pub fn min(&self) -> u64 {
         *self
             .rungs

@@ -86,7 +86,7 @@ proptest! {
     fn no_node_double_allocated(ops in arb_ops(), policy in arb_policy()) {
         let mut cluster = build_cluster();
         let mut held: Vec<Allocation> = Vec::new();
-        let mut busy = std::collections::HashSet::new();
+        let mut busy = std::collections::BTreeSet::new();
         for (token, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Alloc { count, mem_kb } => {

@@ -122,6 +122,10 @@ impl ResourceEstimator for AdaptiveSimilarity {
                 .map(|s| s.estimate_kb >= job.requested_mem_kb as f64 * 0.999)
                 .unwrap_or(false);
             if unproductive {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: the user's entry was inserted earlier in this call"
+                )]
                 let entry = self
                     .users
                     .get_mut(&job.user)

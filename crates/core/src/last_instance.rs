@@ -142,6 +142,10 @@ impl ResourceEstimator for LastInstance {
         let mem_kb = if group.poisoned || group.recent_used_kb.is_empty() {
             request
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: recent_used_kb was checked non-empty above"
+            )]
             let peak = *group
                 .recent_used_kb
                 .iter()

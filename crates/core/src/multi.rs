@@ -136,10 +136,18 @@ impl ResourceEstimator for MultiResourceEstimator {
         if is_trial {
             // Coordinate attribution: this execution tested a package
             // removal, so its outcome belongs to the package coordinate.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: is_trial is only true when the group exists"
+            )]
             let group = self
                 .packages
                 .get_mut(job)
                 .expect("invariant: is_trial is only true when the group exists");
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: is_trial is only true when a trial bit is set"
+            )]
             let bit = group
                 .trying
                 .take()

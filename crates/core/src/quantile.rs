@@ -100,6 +100,10 @@ impl ResourceEstimator for QuantileEstimator {
         } else {
             let values: Vec<f64> = group.observed_kb.iter().map(|&v| v as f64).collect();
             let summary = Summary::from_slice(&values);
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the observation window was checked non-empty above"
+            )]
             let q = summary
                 .percentile(self.cfg.quantile * 100.0)
                 .expect("invariant: the observation window was checked non-empty above");

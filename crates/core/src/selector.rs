@@ -116,6 +116,10 @@ impl ResourceEstimator for EstimatorSelector {
         });
         // Explore: any candidate short of its warm-up plays goes first
         // (least-played wins, ties by index). Exploit: best EWMA score.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a selector always has at least one candidate"
+        )]
         let least_played = (0..n)
             .min_by_key(|&i| group.plays[i])
             .expect("invariant: a selector always has at least one candidate");

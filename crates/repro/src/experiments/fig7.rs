@@ -85,6 +85,10 @@ pub fn run(_spec: &RunSpec) -> ExperimentOutput {
             },
             &ctx,
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the feedback call above creates the job's similarity group"
+        )]
         let snap = est
             .group_snapshot(&job)
             .expect("invariant: the feedback call above creates the job's similarity group");

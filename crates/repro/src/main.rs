@@ -93,6 +93,10 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 }
 
 fn execute(cli: &Cli) -> Result<Vec<RunResult>, String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports elapsed time on stderr; results and cache keys do not depend on it"
+    )]
     let started = Instant::now();
     let results = run_all(&cli.root, &cli.opts)?;
     let cached = results.iter().filter(|r| r.cached).count();

@@ -96,6 +96,10 @@ pub fn run_all(workspace_root: &Path, opts: &RunOptions) -> Result<Vec<RunResult
     let defs = select(&opts.only)?;
     let cache = Cache::new(workspace_root);
     let results = run_pooled(defs.len(), |i| {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: run_pooled only hands out indices below `count`"
+        )]
         let &def = defs
             .get(i)
             .expect("invariant: run_pooled only hands out indices below `count`");

@@ -52,11 +52,24 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod codec;
 pub mod error;
 pub mod file;
 pub mod service;
+mod shard;
 
 /// Common imports for service operators.
 pub mod prelude {

@@ -653,7 +653,6 @@ impl Simulation {
             records: if self.cfg.retain_records {
                 Vec::with_capacity(expected_jobs)
             } else {
-                // lint: allow(hot-path-alloc): empty Vec, once per run, no heap touch
                 Vec::new()
             },
             rng: StdRng::seed_from_u64(self.cfg.seed),
@@ -735,7 +734,6 @@ impl Simulation {
         // (the historical schedule-build-time semantics). Allocations
         // never take nodes offline, so without churn the live cluster *is*
         // pristine and the clone is skipped.
-        // lint: allow(hot-path-alloc): once-per-run setup clone, outside the event loop
         let pristine = (!self.churn.is_empty()).then(|| self.cluster.clone());
         // Installed after the pristine clone so the clone stays minimal;
         // the spare pool is capacity-only and cannot affect outcomes.
@@ -775,6 +773,7 @@ impl Simulation {
             };
             let now;
             if take_feed {
+                #[expect(clippy::expect_used, reason = "invariant: take_feed saw a pending job")]
                 let job = pending
                     .take()
                     .expect("invariant: take_feed saw a pending job");
@@ -846,6 +845,10 @@ impl Simulation {
                     continue;
                 }
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: the merge saw a pending event"
+                )]
                 let (t, event) = state
                     .events
                     .pop()

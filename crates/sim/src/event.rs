@@ -184,9 +184,11 @@ impl EventQueue {
             (None, None) => return None,
         };
         if from_seeded {
+            #[expect(clippy::expect_used, reason = "invariant: seeded tier chosen above")]
             let s = seeded.expect("invariant: seeded tier chosen above");
             Some((true, s.time, s.event))
         } else {
+            #[expect(clippy::expect_used, reason = "invariant: heap tier chosen above")]
             let h = heap.expect("invariant: heap tier chosen above");
             Some((false, h.time, self.pool[h.slot as usize]))
         }
@@ -203,6 +205,7 @@ impl EventQueue {
         if from_seeded {
             self.cursor += 1;
         } else {
+            #[expect(clippy::expect_used, reason = "invariant: front() saw a heap entry")]
             let key = self
                 .heap
                 .pop()

@@ -66,6 +66,10 @@ where
 ///
 /// # Panics
 /// As [`run_pooled`]: worker panics propagate out of the enclosing scope.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the worker pool fills every slot before the scope exits"
+)]
 pub fn run_pooled_with<C, T, I, F>(count: usize, init: I, task: F) -> Vec<T>
 where
     C: Send,

@@ -281,10 +281,12 @@ impl CountersObserver {
 impl SimObserver for CountersObserver {
     fn on_run_start(&mut self, _total_jobs: usize) {
         self.inner.runs_started.fetch_add(1, Ordering::Relaxed);
-        // Wall-clock here only feeds the observability snapshot
-        // (run_wall_s); SimResult itself is untouched by this timing.
-        // lint: allow(determinism): observability-only wall clock
-        self.run_started_at = Some(Instant::now());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the wall clock only feeds the snapshot's run_wall_s; SimResult never sees it"
+        )]
+        let now = Instant::now();
+        self.run_started_at = Some(now);
     }
 
     fn on_arrival(&mut self, _time: Time, _job: JobId) {

@@ -280,6 +280,10 @@ impl JobQueue {
     /// # Panics
     /// When no entry holds that rank — the SJF heap mirrors the queue, so
     /// a miss is an engine invariant violation.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the SJF heap mirrors the queue"
+    )]
     pub(crate) fn index_of_seq(&self, seq: i64) -> usize {
         debug_assert!(self.compacting, "seq search requires compacting mode");
         self.cold

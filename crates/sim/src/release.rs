@@ -54,6 +54,10 @@ impl ReleaseTable {
     /// Remove a finished execution by its recorded conservative end time.
     pub(crate) fn remove(&mut self, expected_end: Time, run_id: u64) {
         let start = self.entries.partition_point(|&(t, _)| t < expected_end);
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: every running execution has a release entry"
+        )]
         let offset = self.entries[start..]
             .iter()
             .position(|&(_, id)| id == run_id)

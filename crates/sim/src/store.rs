@@ -203,6 +203,10 @@ impl RunTable {
     /// Remove the execution under `run_id`, recycling the id.
     pub(crate) fn take(&mut self, run_id: u64) -> FinishedRun {
         let idx = run_id as usize;
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: an ExecutionEnd event fires exactly once per live run id"
+        )]
         let alloc = self.alloc[idx]
             .take()
             .expect("invariant: an ExecutionEnd event fires exactly once per live run id");
@@ -220,6 +224,10 @@ impl RunTable {
     /// The live allocation under `run_id` — the one column the EASY
     /// eligible-count closure reads.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: release entries track live runs"
+    )]
     pub(crate) fn alloc(&self, run_id: u64) -> &Allocation {
         self.alloc[run_id as usize]
             .as_ref()

@@ -111,6 +111,10 @@ fn golden_path(name: &str) -> PathBuf {
 fn check(name: &str, result: &SimResult) {
     let rendered = render(result);
     let path = golden_path(name);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "GOLDEN_REGEN only chooses to rewrite the goldens; the compared output does not read it"
+    )]
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &rendered).unwrap();

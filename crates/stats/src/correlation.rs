@@ -33,6 +33,10 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 /// Spearman's ρ requires).
 fn ranks(values: &[f64]) -> Vec<f64> {
     let mut order: Vec<usize> = (0..values.len()).collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: `spearman` rejects non-finite input before ranking"
+    )]
     order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite values"));
     let mut out = vec![0.0; values.len()];
     let mut i = 0;
@@ -53,9 +57,9 @@ fn ranks(values: &[f64]) -> Vec<f64> {
 
 /// Spearman rank correlation in `[-1, 1]`: Pearson's r over the rank
 /// transforms, robust to monotone nonlinearity. Same `None` conditions as
-/// [`pearson`].
+/// [`pearson`], and `None` when any input is non-finite (NaN has no rank).
 pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
+    if xs.len() != ys.len() || xs.len() < 2 || !xs.iter().chain(ys).all(|v| v.is_finite()) {
         return None;
     }
     pearson(&ranks(xs), &ranks(ys))

@@ -24,6 +24,10 @@ impl Summary {
     /// Summarize `data`. Non-finite values are ignored.
     pub fn from_slice(data: &[f64]) -> Self {
         let mut sorted: Vec<f64> = data.iter().copied().filter(|v| v.is_finite()).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: non-finite values were filtered out above"
+        )]
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         let count = sorted.len();
         let mean = if count == 0 {

@@ -192,6 +192,10 @@ impl Zipf {
             acc += (k as f64).powf(-s);
             cdf.push(acc);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `n > 0` is asserted above, so the CDF is non-empty"
+        )]
         let total = *cdf.last().expect("n > 0");
         for v in &mut cdf {
             *v /= total;

@@ -21,6 +21,10 @@ impl EmpiricalDistribution {
         if sorted.is_empty() {
             return None;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: non-finite values were filtered out above"
+        )]
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         Some(EmpiricalDistribution { sorted })
     }
@@ -71,6 +75,10 @@ impl EmpiricalDistribution {
     }
 
     /// Largest sample value.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: `from_sample` never builds an empty distribution"
+    )]
     pub fn max(&self) -> f64 {
         *self.sorted.last().expect("non-empty by construction")
     }

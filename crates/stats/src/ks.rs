@@ -23,7 +23,15 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Option<KsResult> {
     if xs.is_empty() || ys.is_empty() {
         return None;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: non-finite values were filtered out above"
+    )]
     xs.sort_by(|p, q| p.partial_cmp(q).expect("finite"));
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: non-finite values were filtered out above"
+    )]
     ys.sort_by(|p, q| p.partial_cmp(q).expect("finite"));
 
     // Walk the merged order, tracking both ECDFs.

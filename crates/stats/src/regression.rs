@@ -95,10 +95,15 @@ pub struct LeastSquares {
 impl LeastSquares {
     /// Fit `y ≈ X β` where `rows[i]` is the i-th feature vector. All rows
     /// must share a length equal to the number of features. Returns `None`
-    /// when the system is empty, ragged, or singular beyond `ridge`'s help.
+    /// when the system is empty, ragged, or singular beyond `ridge`'s help,
+    /// and when any input (feature, target or `ridge`) is non-finite or the
+    /// normal equations overflow.
     pub fn fit(rows: &[Vec<f64>], ys: &[f64], ridge: f64) -> Option<Self> {
         let n = rows.len();
         if n == 0 || n != ys.len() {
+            return None;
+        }
+        if !rows.iter().flatten().chain(ys).all(|v| v.is_finite()) || !ridge.is_finite() {
             return None;
         }
         let k = rows[0].len();
@@ -150,18 +155,16 @@ impl LeastSquares {
 }
 
 /// Solve `A x = b` in place by Gaussian elimination with partial pivoting.
-/// Returns `None` for singular systems.
+/// Returns `None` for singular systems and for systems whose elimination
+/// overflows to a non-finite pivot.
 fn solve_linear_system(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
     let n = b.len();
     for col in 0..n {
-        // Partial pivot: the largest magnitude in this column at/below row `col`.
-        let pivot = (col..n).max_by(|&i, &j| {
-            a[i][col]
-                .abs()
-                .partial_cmp(&a[j][col].abs())
-                .expect("finite pivots")
-        })?;
-        if a[pivot][col].abs() < 1e-12 {
+        // Partial pivot: the largest magnitude in this column at/below row
+        // `col`. `total_cmp` ranks NaN above every number, so an overflowed
+        // column picks a non-finite pivot and is rejected just below.
+        let pivot = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
+        if !a[pivot][col].is_finite() || a[pivot][col].abs() < 1e-12 {
             return None;
         }
         a.swap(col, pivot);

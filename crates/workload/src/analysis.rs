@@ -4,8 +4,11 @@
 //! jobs over-provision (Figure 1), how similarity groups are sized
 //! (Figure 3), and how much estimation could gain per group versus how
 //! self-similar the group is (Figure 4).
+//!
+//! Groups and users are collected in `BTreeMap`s, so every function here
+//! returns the same order on every call.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use resmatch_stats::histogram::LogHistogram;
 use resmatch_stats::regression::SimpleLinearRegression;
@@ -35,9 +38,9 @@ impl GroupKey {
     }
 }
 
-/// Partition a workload into similarity groups.
-pub fn group_jobs(workload: &Workload) -> HashMap<GroupKey, Vec<&Job>> {
-    let mut groups: HashMap<GroupKey, Vec<&Job>> = HashMap::new();
+/// Partition a workload into similarity groups, in key order.
+pub fn group_jobs(workload: &Workload) -> BTreeMap<GroupKey, Vec<&Job>> {
+    let mut groups: BTreeMap<GroupKey, Vec<&Job>> = BTreeMap::new();
     for job in workload.jobs() {
         groups.entry(GroupKey::of(job)).or_default().push(job);
     }
@@ -104,11 +107,11 @@ pub struct GroupSizeBucket {
 pub fn group_size_distribution(workload: &Workload) -> Vec<GroupSizeBucket> {
     let groups = group_jobs(workload);
     let total_jobs = workload.len();
-    let mut by_size: HashMap<usize, usize> = HashMap::new();
+    let mut by_size: BTreeMap<usize, usize> = BTreeMap::new();
     for members in groups.values() {
         *by_size.entry(members.len()).or_default() += 1;
     }
-    let mut buckets: Vec<GroupSizeBucket> = by_size
+    by_size
         .into_iter()
         .map(|(size, count)| GroupSizeBucket {
             size,
@@ -119,9 +122,7 @@ pub fn group_size_distribution(workload: &Workload) -> Vec<GroupSizeBucket> {
                 (size * count) as f64 / total_jobs as f64
             },
         })
-        .collect();
-    buckets.sort_by_key(|b| b.size);
-    buckets
+        .collect()
 }
 
 /// One point of Figure 4: a similarity group's potential gain versus its
@@ -139,8 +140,9 @@ pub struct GainPoint {
 }
 
 /// Compute Figure 4's scatter: for every group with at least `min_size`
-/// members (the paper uses 10), the gain and similarity range. Groups whose
-/// members report zero usage are skipped.
+/// members (the paper uses 10), the gain and similarity range, sorted by
+/// range with ties in group-key order. Groups whose members report zero
+/// usage are skipped.
 pub fn gain_vs_range(workload: &Workload, min_size: usize) -> Vec<GainPoint> {
     let groups = group_jobs(workload);
     let mut points = Vec::new();
@@ -148,23 +150,18 @@ pub fn gain_vs_range(workload: &Workload, min_size: usize) -> Vec<GainPoint> {
         if members.len() < min_size {
             continue;
         }
-        let used: Vec<u64> = members
-            .iter()
-            .map(|j| j.used_mem_kb)
-            .filter(|&u| u > 0)
-            .collect();
-        if used.is_empty() {
+        let used = members.iter().map(|j| j.used_mem_kb).filter(|&u| u > 0);
+        let (Some(max_used), Some(min_used)) = (used.clone().max(), used.min()) else {
             continue;
-        }
-        let max_used = *used.iter().max().expect("non-empty") as f64;
-        let min_used = *used.iter().min().expect("non-empty") as f64;
+        };
+        let (max_used, min_used) = (max_used as f64, min_used as f64);
         points.push(GainPoint {
             size: members.len(),
             gain: key.requested_mem_kb as f64 / max_used,
             range: max_used / min_used,
         });
     }
-    points.sort_by(|a, b| a.range.partial_cmp(&b.range).expect("finite ranges"));
+    points.sort_by(|a, b| a.range.total_cmp(&b.range));
     points
 }
 
@@ -190,10 +187,10 @@ pub struct UserProfile {
 }
 
 /// Per-user profiles, sorted by descending node-seconds (heaviest users
-/// first).
+/// first, ties by user id).
 pub fn user_profiles(workload: &Workload) -> Vec<UserProfile> {
     use resmatch_stats::Summary;
-    let mut by_user: HashMap<u32, Vec<&Job>> = HashMap::new();
+    let mut by_user: BTreeMap<u32, Vec<&Job>> = BTreeMap::new();
     for job in workload.jobs() {
         by_user.entry(job.user).or_default().push(job);
     }
@@ -216,11 +213,7 @@ pub fn user_profiles(workload: &Workload) -> Vec<UserProfile> {
             }
         })
         .collect();
-    profiles.sort_by(|a, b| {
-        b.node_seconds
-            .partial_cmp(&a.node_seconds)
-            .expect("finite node-seconds")
-    });
+    profiles.sort_by(|a, b| b.node_seconds.total_cmp(&a.node_seconds));
     profiles
 }
 
@@ -441,6 +434,24 @@ mod tests {
     #[test]
     fn user_profiles_empty() {
         assert!(user_profiles(&Workload::default()).is_empty());
+    }
+
+    #[test]
+    fn repeated_calls_return_equal_vectors() {
+        // At 20k jobs Figure 4 has hundreds of groups tied on `range`; a
+        // per-process hash seed returned those ties in a new order on
+        // every call.
+        use crate::synthetic::{generate, Cm5Config};
+        let w = generate(
+            &Cm5Config {
+                jobs: 20_000,
+                ..Cm5Config::default()
+            },
+            42,
+        );
+        assert_eq!(gain_vs_range(&w, 10), gain_vs_range(&w, 10));
+        assert_eq!(group_size_distribution(&w), group_size_distribution(&w));
+        assert_eq!(user_profiles(&w), user_profiles(&w));
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub fn synthesize_attributes(workload: &mut Workload, cfg: &AttrConfig, seed: u6
 mod tests {
     use super::*;
     use crate::synthetic::{generate, Cm5Config};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn enriched(jobs: usize, seed: u64) -> Workload {
         let mut w = generate(
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn requested_attributes_are_stable_per_class() {
         let w = enriched(20_000, 42);
-        let mut per_class: HashMap<(u32, u32, u64), u64> = HashMap::new();
+        let mut per_class: BTreeMap<(u32, u32, u64), u64> = BTreeMap::new();
         for j in w.jobs() {
             let key = (j.user, j.app, j.requested_mem_kb);
             let prev = per_class.entry(key).or_insert(j.requested_disk_kb);
@@ -197,7 +197,7 @@ mod tests {
             );
         }
         // Package profiles are per app.
-        let mut per_app: HashMap<u32, u32> = HashMap::new();
+        let mut per_app: BTreeMap<u32, u32> = BTreeMap::new();
         for j in w.jobs() {
             let prev = per_app.entry(j.app).or_insert(j.requested_packages);
             assert_eq!(*prev, j.requested_packages, "app {} mask drifted", j.app);

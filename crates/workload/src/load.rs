@@ -46,13 +46,9 @@ pub fn rescale_arrivals(workload: &Workload, factor: f64) -> Workload {
         "arrival scale factor must be positive"
     );
     let jobs = workload.jobs();
-    if jobs.is_empty() {
+    let Some(first) = jobs.first().map(|j| j.submit) else {
         return workload.clone();
-    }
-    let first = jobs
-        .first()
-        .expect("invariant: emptiness checked above")
-        .submit;
+    };
     let rescaled = jobs
         .iter()
         .map(|j| {

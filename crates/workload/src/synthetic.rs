@@ -120,6 +120,7 @@ impl PowerLawSizes {
             acc += (k as f64).powf(-tau);
             cdf.push(acc);
         }
+        #[expect(clippy::expect_used, reason = "invariant: max >= 1 is asserted above")]
         let total = *cdf.last().expect("invariant: max >= 1 is asserted above");
         for v in &mut cdf {
             *v /= total;
@@ -133,6 +134,10 @@ impl PowerLawSizes {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: weight tables are non-empty constants"
+)]
 fn pick_weighted<T: Copy>(rng: &mut StdRng, table: &[(T, f64)]) -> T {
     let total: f64 = table.iter().map(|(_, w)| w).sum();
     let mut u: f64 = rng.random::<f64>() * total;
@@ -572,7 +577,7 @@ impl Iterator for ServiceStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn small_trace(jobs: usize, seed: u64) -> Workload {
         generate(
@@ -655,7 +660,7 @@ mod tests {
         // jobs are ~19% of groups holding ~83% of jobs. Generating the full
         // trace here is cheap enough (< 1 s).
         let w = small_trace(122_055, 42);
-        let mut groups: HashMap<(u32, u32, u64), usize> = HashMap::new();
+        let mut groups: BTreeMap<(u32, u32, u64), usize> = BTreeMap::new();
         for j in w.jobs() {
             *groups
                 .entry((j.user, j.app, j.requested_mem_kb))
@@ -827,7 +832,7 @@ mod tests {
         // 20k draws over 1k classes: coupon-collector says essentially every
         // class appears, and each class keeps one similarity key.
         let jobs: Vec<_> = service_stream(20_000, 1_000, 7).collect();
-        let mut per_class: HashMap<u32, (u32, u64)> = HashMap::new();
+        let mut per_class: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
         for j in &jobs {
             let entry = per_class
                 .entry(j.user)
