@@ -52,6 +52,9 @@ impl ClusterBuilder {
 /// The paper's experimental cluster family (§3): 512 nodes with the CM-5's
 /// original 32 MB plus 512 nodes whose memory is `second_pool_mb` MB —
 /// Figure 5/6 use 24 MB; Figure 8 sweeps 1..=32 MB.
+///
+/// # Panics
+/// Panics when `second_pool_mb` is outside `1..=32`.
 pub fn paper_cluster(second_pool_mb: u64) -> Cluster {
     assert!(
         (1..=32).contains(&second_pool_mb),
@@ -85,8 +88,8 @@ mod tests {
         let c = ClusterBuilder::new()
             .pool_with(2, Capacity::new(100, 50, 0b11))
             .build();
-        assert!(c.node_capacity(0).satisfies(&Demand::new(100, 50, 0b01)));
-        assert!(!c.node_capacity(0).satisfies(&Demand::new(100, 51, 0)));
+        assert!(c.pool_capacity(0).satisfies(&Demand::new(100, 50, 0b01)));
+        assert!(!c.pool_capacity(0).satisfies(&Demand::new(100, 51, 0)));
     }
 
     #[test]

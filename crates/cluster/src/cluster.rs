@@ -1,27 +1,21 @@
 //! The cluster proper: node pools, allocation, and match policies.
 //!
-//! Nodes with identical capacities form *pools*; allocation pops free nodes
-//! from eligible pools in a policy-determined order. Pool-level bookkeeping
-//! keeps `try_allocate` O(#pools) — a cluster has thousands of nodes but a
-//! handful of distinct capacities — which matters because the simulator
-//! retries the queue head on every completion event.
-//!
-//! Two hot-path caches keep the per-event cost flat over a full trace:
-//!
-//! - the pool visitation order for each [`MatchPolicy`], precomputed at
-//!   construction, so `try_allocate` never allocates or sorts;
-//! - per-pool grant counts inside each [`Allocation`], so
-//!   weakest-node/package/eligibility queries about a running job cost
-//!   O(pools spanned) instead of O(nodes granted).
+//! Nodes with identical capacities form *pools*, and the nodes of one pool
+//! are interchangeable: the cluster keeps each pool as counts (total,
+//! free, offline) and an [`Allocation`] as the `(pool, count)` segments it
+//! drew, never as node ids. Allocation draws `min(remaining, free)` from
+//! each eligible pool in a policy-determined order, so `try_allocate`,
+//! `release` and churn are O(#pools) arithmetic — a cluster has thousands
+//! of nodes but a handful of distinct capacities — which matters because
+//! the simulator retries the queue head on every completion event. The
+//! pool visitation order for each [`MatchPolicy`] is precomputed at
+//! construction, so `try_allocate` never allocates or sorts.
 
 use serde::{Deserialize, Serialize};
 
 use crate::ladder::CapacityLadder;
 use crate::matchmaking::PoolMatcher;
 use crate::resources::{Capacity, Demand};
-
-/// Index of a node within its cluster.
-pub type NodeId = u32;
 
 /// How eligible pools are ordered when a job can run on more than one kind
 /// of node.
@@ -37,54 +31,49 @@ pub enum MatchPolicy {
     WorstFit,
 }
 
-/// Occupant sentinel for nodes that have left the cluster.
-const OFFLINE_TOKEN: u64 = u64::MAX;
-/// Occupant sentinel for a free node. Storing bare `u64`s instead of
-/// `Option<u64>` halves the occupant table's footprint and the per-node
-/// traffic in `try_allocate`/`release`; the top two token values are
-/// reserved for the sentinels and rejected at allocation time.
-const FREE_TOKEN: u64 = u64::MAX - 1;
-
+/// The nodes of one capacity, as counts: every node is free, offline
+/// (dynamically departed) or busy.
 #[derive(Debug, Clone)]
 struct Pool {
     capacity: Capacity,
-    /// Free node ids, used as a stack.
-    free: Vec<NodeId>,
-    /// Nodes currently out of the cluster (dynamic leave).
-    offline: Vec<NodeId>,
     total: u32,
+    free: u32,
+    offline: u32,
 }
 
-/// A granted set of nodes. Must be handed back via [`Cluster::release`];
-/// passing by value makes double-release a move error instead of a runtime
-/// bug.
+impl Pool {
+    /// Nodes held by allocations.
+    #[inline]
+    fn busy(&self) -> u32 {
+        self.total - self.free - self.offline
+    }
+
+    /// Nodes in the cluster, free or busy.
+    #[inline]
+    fn online(&self) -> u32 {
+        self.total - self.offline
+    }
+}
+
+/// A granted set of nodes, as the `(pool, count)` segments it drew. Must
+/// be handed back via [`Cluster::release`]; passing by value makes
+/// double-release a move error instead of a runtime bug.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Allocation {
-    nodes: Vec<NodeId>,
-    /// `(pool index, nodes granted from it)` in draw order — the compact
-    /// shape pool-level queries (weakest node, common packages, eligible
-    /// counts) read instead of walking every node.
     per_pool: Vec<(u16, u32)>,
     token: u64,
 }
 
 impl Allocation {
-    /// The node ids granted.
-    #[inline]
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// `(pool index, nodes granted from it)` in draw order — lets callers
-    /// maintain per-pool occupancy tallies incrementally instead of
-    /// re-counting the cluster on every event.
+    /// `(pool index, nodes granted from it)` in draw order — all there is
+    /// to a grant, since the nodes of one pool are interchangeable. Pool
+    /// queries (weakest node, common packages, eligible counts) read it.
     #[inline]
     pub fn per_pool(&self) -> &[(u16, u32)] {
         &self.per_pool
     }
 
-    /// The caller-supplied token (typically the job id) recorded as the
-    /// occupant of each node.
+    /// The caller-supplied token (typically the job id).
     #[inline]
     pub fn token(&self) -> u64 {
         self.token
@@ -98,37 +87,55 @@ fn pool_bit(bits: &[u64], i: usize) -> bool {
     bits.get(i >> 6).is_some_and(|w| (w >> (i & 63)) & 1 != 0)
 }
 
-/// A retired allocation's buffers — `(node ids, per-pool segments)` —
-/// parked for reuse by the next `try_allocate`.
-type SpareBuffers = (Vec<NodeId>, Vec<(u16, u32)>);
+/// Draw `count` nodes from the pools `order` lists that `eligible`
+/// accepts, `min(remaining, free)` from each in turn, appending the
+/// segments to `per_pool`. The caller has checked that enough are free.
+fn draw(
+    pools: &mut [Pool],
+    order: impl IntoIterator<Item = u16>,
+    eligible: impl Fn(&Pool) -> bool,
+    count: u32,
+    per_pool: &mut Vec<(u16, u32)>,
+) {
+    let mut remaining = count;
+    for pi in order {
+        if remaining == 0 {
+            break;
+        }
+        let pool = &mut pools[pi as usize];
+        let here = remaining.min(pool.free);
+        if here > 0 && eligible(pool) {
+            pool.free -= here;
+            per_pool.push((pi, here));
+            remaining -= here;
+        }
+    }
+    debug_assert_eq!(remaining, 0, "availability was checked first");
+}
 
-/// A cluster's retired-allocation buffer pool, detached so it can hop
-/// between cluster instances (sweeps clone a fresh cluster per point but
-/// want the buffers warm from the first point on). Opaque: the only
-/// useful things to do with one are [`Cluster::take_spare`] and
-/// [`Cluster::install_spare`].
+/// A cluster's retired-allocation buffer pool — one emptied segment vector
+/// per retired allocation — detached so it can hop between cluster
+/// instances (sweeps clone a fresh cluster per point but want the buffers
+/// warm from the first point on). Opaque: the only useful things to do
+/// with one are [`Cluster::take_spare`] and [`Cluster::install_spare`].
 #[derive(Debug, Default)]
-pub struct AllocationSpare(Vec<SpareBuffers>);
+pub struct AllocationSpare(Vec<Vec<(u16, u32)>>);
 
 /// A space-shared heterogeneous cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     pools: Vec<Pool>,
-    /// Pool index per node.
-    node_pool: Vec<u16>,
-    /// Occupant token per node; `FREE_TOKEN` = free, `OFFLINE_TOKEN` =
-    /// departed.
-    occupant: Vec<u64>,
+    total_count: u32,
     free_count: u32,
-    /// Pool visitation order per match policy, fixed at construction.
-    /// Stable-sorted with the same keys the old per-call sort used, so
-    /// node selection is bit-identical.
-    order_first: Vec<u16>,
-    order_best: Vec<u16>,
-    order_worst: Vec<u16>,
+    /// Kept next to `free_count` so [`Cluster::busy_nodes`], read on every
+    /// simulator event, stays O(1).
+    offline_count: u32,
+    /// Pool visitation order per match policy, indexed by `policy as
+    /// usize` and fixed at construction.
+    orders: [Vec<u16>; 3],
     /// Retired allocation buffers, reused by the next `try_allocate` so a
     /// steady-state simulation allocates no fresh vectors per execution.
-    spare: Vec<SpareBuffers>,
+    spare: Vec<Vec<(u16, u32)>>,
     /// Candidate-pool scratch for `try_allocate_matched`, reused across
     /// calls for the same reason as `spare`.
     match_scratch: Vec<(u16, f64)>,
@@ -143,43 +150,31 @@ impl Cluster {
     pub fn from_pools(specs: &[(u32, Capacity)]) -> Self {
         let total: u32 = specs.iter().map(|(n, _)| n).sum();
         assert!(total > 0, "a cluster needs at least one node");
-        assert!(specs.len() <= u16::MAX as usize, "too many pools");
-        let mut pools = Vec::with_capacity(specs.len());
-        let mut node_pool = Vec::with_capacity(total as usize);
-        let mut next_id: NodeId = 0;
-        for (pi, &(count, capacity)) in specs.iter().enumerate() {
-            // Free stack is popped from the back; pushing descending ids
-            // hands nodes out in ascending order, which keeps tests and
-            // traces readable.
-            let free: Vec<NodeId> = (next_id..next_id + count).rev().collect();
-            node_pool.extend(std::iter::repeat_n(pi as u16, count as usize));
-            next_id += count;
-            pools.push(Pool {
+        assert!(u16::try_from(specs.len()).is_ok(), "too many pools");
+        let pools: Vec<Pool> = specs
+            .iter()
+            .map(|&(count, capacity)| Pool {
                 capacity,
-                free,
-                offline: Vec::new(),
                 total: count,
-            });
-        }
-        let order_first: Vec<u16> = (0..pools.len() as u16).collect();
-        let mut order_best = order_first.clone();
-        order_best.sort_by_key(|&i| {
+                free: count,
+                offline: 0,
+            })
+            .collect();
+        let first: Vec<u16> = (0..pools.len() as u16).collect();
+        let key = |&i: &u16| {
             let c = pools[i as usize].capacity;
             (c.mem_kb, c.disk_kb, c.packages.count_ones())
-        });
-        let mut order_worst = order_first.clone();
-        order_worst.sort_by_key(|&i| {
-            let c = pools[i as usize].capacity;
-            std::cmp::Reverse((c.mem_kb, c.disk_kb, c.packages.count_ones()))
-        });
+        };
+        let mut best = first.clone();
+        best.sort_by_key(key);
+        let mut worst = first.clone();
+        worst.sort_by_key(|i| std::cmp::Reverse(key(i)));
         Cluster {
             pools,
-            node_pool,
-            occupant: vec![FREE_TOKEN; total as usize],
+            total_count: total,
             free_count: total,
-            order_first,
-            order_best,
-            order_worst,
+            offline_count: 0,
+            orders: [first, best, worst],
             spare: Vec::new(),
             match_scratch: Vec::new(),
         }
@@ -188,7 +183,7 @@ impl Cluster {
     /// Total number of nodes.
     #[inline]
     pub fn total_nodes(&self) -> u32 {
-        self.occupant.len() as u32
+        self.total_count
     }
 
     /// Currently free nodes.
@@ -197,10 +192,10 @@ impl Cluster {
         self.free_count
     }
 
-    /// Currently busy nodes.
+    /// Currently busy nodes. Offline nodes are neither free nor busy.
     #[inline]
     pub fn busy_nodes(&self) -> u32 {
-        self.total_nodes() - self.free_count
+        self.total_count - self.free_count - self.offline_count
     }
 
     /// Free nodes whose capacity satisfies `demand`.
@@ -208,7 +203,7 @@ impl Cluster {
         self.pools
             .iter()
             .filter(|p| p.capacity.satisfies(demand))
-            .map(|p| p.free.len() as u32)
+            .map(|p| p.free)
             .sum()
     }
 
@@ -219,13 +214,14 @@ impl Cluster {
         self.pools
             .iter()
             .filter(|p| p.capacity.satisfies(demand))
-            .map(|p| p.total - p.offline.len() as u32)
+            .map(Pool::online)
             .sum()
     }
 
     /// Nodes currently offline (dynamically departed).
+    #[inline]
     pub fn offline_nodes(&self) -> u32 {
-        self.pools.iter().map(|p| p.offline.len() as u32).sum()
+        self.offline_count
     }
 
     /// Dynamically remove up to `count` *free* nodes of memory capacity
@@ -235,26 +231,18 @@ impl Cluster {
     /// actually left.
     pub fn take_offline(&mut self, mem_kb: u64, count: u32) -> u32 {
         let mut taken = 0;
-        for pi in 0..self.pools.len() {
-            if self.pools[pi].capacity.mem_kb != mem_kb {
-                continue;
-            }
-            while taken < count {
-                let pool = &mut self.pools[pi];
-                match pool.free.pop() {
-                    Some(id) => {
-                        self.occupant[id as usize] = OFFLINE_TOKEN;
-                        pool.offline.push(id);
-                        taken += 1;
-                    }
-                    None => break,
-                }
-            }
-            if taken == count {
-                break;
-            }
+        for pool in self
+            .pools
+            .iter_mut()
+            .filter(|p| p.capacity.mem_kb == mem_kb)
+        {
+            let here = (count - taken).min(pool.free);
+            pool.free -= here;
+            pool.offline += here;
+            taken += here;
         }
         self.free_count -= taken;
+        self.offline_count += taken;
         taken
     }
 
@@ -262,36 +250,19 @@ impl Cluster {
     /// `mem_kb` back online. Returns how many rejoined.
     pub fn bring_online(&mut self, mem_kb: u64, count: u32) -> u32 {
         let mut restored = 0;
-        for pi in 0..self.pools.len() {
-            if self.pools[pi].capacity.mem_kb != mem_kb {
-                continue;
-            }
-            while restored < count {
-                let pool = &mut self.pools[pi];
-                match pool.offline.pop() {
-                    Some(id) => {
-                        debug_assert_eq!(self.occupant[id as usize], OFFLINE_TOKEN);
-                        self.occupant[id as usize] = FREE_TOKEN;
-                        pool.free.push(id);
-                        restored += 1;
-                    }
-                    None => break,
-                }
-            }
-            if restored == count {
-                break;
-            }
+        for pool in self
+            .pools
+            .iter_mut()
+            .filter(|p| p.capacity.mem_kb == mem_kb)
+        {
+            let here = (count - restored).min(pool.offline);
+            pool.offline -= here;
+            pool.free += here;
+            restored += here;
         }
+        self.offline_count -= restored;
         self.free_count += restored;
         restored
-    }
-
-    /// Capacity of a node.
-    ///
-    /// # Panics
-    /// Panics for out-of-range ids.
-    pub fn node_capacity(&self, node: NodeId) -> Capacity {
-        self.pools[self.node_pool[node as usize] as usize].capacity
     }
 
     /// The distinct memory capacities, as a ladder for Algorithm 1.
@@ -299,9 +270,9 @@ impl Cluster {
         CapacityLadder::new(self.pools.iter().map(|p| p.capacity.mem_kb).collect())
     }
 
-    /// Try to allocate `count` nodes, each satisfying `demand`, recording
-    /// `token` as their occupant. Returns `None` — allocating nothing — when
-    /// fewer than `count` eligible nodes are free.
+    /// Try to allocate `count` nodes, each satisfying `demand`, for
+    /// `token`. Returns `None` — allocating nothing — when fewer than
+    /// `count` eligible nodes are free.
     pub fn try_allocate(
         &mut self,
         count: u32,
@@ -309,80 +280,22 @@ impl Cluster {
         policy: MatchPolicy,
         token: u64,
     ) -> Option<Allocation> {
-        assert!(token < FREE_TOKEN, "tokens above u64::MAX - 2 are reserved");
-        if count == 0 {
-            return Some(Allocation {
-                nodes: Vec::new(),
-                per_pool: Vec::new(),
-                token,
-            });
-        }
         if self.free_nodes_satisfying(demand) < count {
             return None;
         }
-        // The pool visit orders are precomputed at construction (pools never
-        // change capacity); ineligible pools are skipped in-line, which yields
-        // the same sequence a filter-then-sort of eligible pools would.
-        let (mut nodes, mut per_pool) = self.spare.pop().unwrap_or_default();
-        nodes.reserve(count as usize);
-        let mut remaining = count;
-        for oi in 0..self.pools.len() {
-            let pi = match policy {
-                MatchPolicy::FirstFit => self.order_first[oi],
-                MatchPolicy::BestFit => self.order_best[oi],
-                MatchPolicy::WorstFit => self.order_worst[oi],
-            } as usize;
-            if !self.pools[pi].capacity.satisfies(demand) {
-                continue;
-            }
-            let here = remaining.min(self.pools[pi].free.len() as u32);
-            if here == 0 {
-                continue;
-            }
-            self.take_block(pi, here, token, &mut nodes, &mut per_pool);
-            remaining -= here;
-            if remaining == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(remaining, 0, "availability was pre-checked");
+        // Ineligible pools are skipped in the precomputed visit order,
+        // which yields the sequence a filter-then-sort of eligible pools
+        // would.
+        let mut per_pool = self.spare.pop().unwrap_or_default();
+        draw(
+            &mut self.pools,
+            self.orders[policy as usize].iter().copied(),
+            |pool| pool.capacity.satisfies(demand),
+            count,
+            &mut per_pool,
+        );
         self.free_count -= count;
-        Some(Allocation {
-            nodes,
-            per_pool,
-            token,
-        })
-    }
-
-    /// Claim the top `here` nodes of pool `pi`'s free stack for `token`,
-    /// appending them to an allocation under construction.
-    ///
-    /// Takes the entries as one block: reversing the slice reproduces the
-    /// exact order a pop-per-node loop would have drawn them in, so node
-    /// selection is bit-identical while the stack shrinks with a single
-    /// truncate.
-    fn take_block(
-        &mut self,
-        pi: usize,
-        here: u32,
-        token: u64,
-        nodes: &mut Vec<NodeId>,
-        per_pool: &mut Vec<(u16, u32)>,
-    ) {
-        let start = self.pools[pi].free.len() - here as usize;
-        {
-            let (pools, occupant) = (&self.pools, &mut self.occupant);
-            // One reverse pass claims and collects each node; claim
-            // order is unobservable (the ids are distinct), and the
-            // collected order matches the pop-per-node draw.
-            nodes.extend(pools[pi].free[start..].iter().rev().map(|&id| {
-                debug_assert_eq!(occupant[id as usize], FREE_TOKEN);
-                occupant[id as usize] = token;
-                id
-            }));
-        }
-        self.pools[pi].free.truncate(start);
-        per_pool.push((pi as u16, here));
+        Some(Allocation { per_pool, token })
     }
 
     /// [`Cluster::try_allocate`] with a [`PoolMatcher`] intersected into
@@ -391,7 +304,7 @@ impl Cluster {
     /// ranks, candidates are reordered by descending rank (stable, so ties
     /// keep `policy` order) before nodes are drawn; otherwise pure policy
     /// order is kept and — for a matcher accepting every pool — the result
-    /// is bit-identical to the native path.
+    /// is identical to the native path.
     ///
     /// The caller is expected to have [`PoolMatcher::prepare`]d the matcher
     /// for `demand`.
@@ -403,38 +316,31 @@ impl Cluster {
         token: u64,
         matcher: &mut M,
     ) -> Option<Allocation> {
-        assert!(token < FREE_TOKEN, "tokens above u64::MAX - 2 are reserved");
         if count == 0 {
+            // Granted without consulting the matcher.
             return Some(Allocation {
-                nodes: Vec::new(),
                 per_pool: Vec::new(),
                 token,
             });
         }
-        let order: &[u16] = match policy {
-            MatchPolicy::FirstFit => &self.order_first,
-            MatchPolicy::BestFit => &self.order_best,
-            MatchPolicy::WorstFit => &self.order_worst,
-        };
         // One pass gathers eligibility, availability, and (when wanted)
         // rank, so each pool's ads are evaluated at most once per attempt.
         let ranked = matcher.is_ranked();
         let mut candidates = std::mem::take(&mut self.match_scratch);
         candidates.clear();
         let mut available: u32 = 0;
-        for &pio in order {
-            let pi = pio as usize;
-            let capacity = self.pools[pi].capacity;
-            if !capacity.satisfies(demand) || !matcher.matches(pi, &capacity) {
+        for &pi in &self.orders[policy as usize] {
+            let pool = &self.pools[pi as usize];
+            if !pool.capacity.satisfies(demand) || !matcher.matches(pi as usize, &pool.capacity) {
                 continue;
             }
-            available += self.pools[pi].free.len() as u32;
+            available += pool.free;
             let rank = if ranked {
-                matcher.rank(pi, &capacity)
+                matcher.rank(pi as usize, &pool.capacity)
             } else {
                 0.0
             };
-            candidates.push((pio, rank));
+            candidates.push((pi, rank));
         }
         if available < count {
             self.match_scratch = candidates;
@@ -443,29 +349,17 @@ impl Cluster {
         if ranked {
             candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
         }
-        let (mut nodes, mut per_pool) = self.spare.pop().unwrap_or_default();
-        nodes.reserve(count as usize);
-        let mut remaining = count;
-        for &(pio, _) in &candidates {
-            let pi = pio as usize;
-            let here = remaining.min(self.pools[pi].free.len() as u32);
-            if here == 0 {
-                continue;
-            }
-            self.take_block(pi, here, token, &mut nodes, &mut per_pool);
-            remaining -= here;
-            if remaining == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(remaining, 0, "availability was gathered above");
+        let mut per_pool = self.spare.pop().unwrap_or_default();
+        draw(
+            &mut self.pools,
+            candidates.iter().map(|&(pi, _)| pi),
+            |_| true,
+            count,
+            &mut per_pool,
+        );
         self.free_count -= count;
         self.match_scratch = candidates;
-        Some(Allocation {
-            nodes,
-            per_pool,
-            token,
-        })
+        Some(Allocation { per_pool, token })
     }
 
     /// Free nodes in pools that satisfy `demand` *and* are accepted by
@@ -487,14 +381,14 @@ impl Cluster {
                 .iter()
                 .enumerate()
                 .filter(|(pi, p)| pool_bit(bits, *pi) && p.capacity.satisfies(demand))
-                .map(|(_, p)| p.free.len() as u32)
+                .map(|(_, p)| p.free)
                 .sum();
         }
         self.pools
             .iter()
             .enumerate()
             .filter(|(pi, p)| p.capacity.satisfies(demand) && matcher.matches(*pi, &p.capacity))
-            .map(|(_, p)| p.free.len() as u32)
+            .map(|(_, p)| p.free)
             .sum()
     }
 
@@ -514,58 +408,37 @@ impl Cluster {
                 .iter()
                 .enumerate()
                 .filter(|(pi, p)| pool_bit(bits, *pi) && p.capacity.satisfies(demand))
-                .map(|(_, p)| p.total - p.offline.len() as u32)
+                .map(|(_, p)| p.online())
                 .sum();
         }
         self.pools
             .iter()
             .enumerate()
             .filter(|(pi, p)| p.capacity.satisfies(demand) && matcher.matches(*pi, &p.capacity))
-            .map(|(_, p)| p.total - p.offline.len() as u32)
+            .map(|(_, p)| p.online())
             .sum()
     }
 
     /// Return an allocation's nodes to their pools.
     ///
     /// # Panics
-    /// Panics when a node's recorded occupant does not match the
-    /// allocation's token — that is always a scheduler logic bug worth
-    /// failing loudly on.
+    /// Panics when a segment returns more nodes than its pool has busy —
+    /// nodes the cluster never granted, which is always a scheduler logic
+    /// bug worth failing loudly on.
     pub fn release(&mut self, alloc: Allocation) {
-        // `nodes` is partitioned by pool in `per_pool` draw order (see
-        // `try_allocate`), so each segment rejoins its pool's free stack
-        // with one `extend_from_slice` — same push order a per-node loop
-        // produced, without a `node_pool` lookup per node.
-        let mut offset = 0usize;
-        for &(pi, n) in &alloc.per_pool {
-            let seg = &alloc.nodes[offset..offset + n as usize];
-            offset += n as usize;
-            // Occupancy checks are folded branch-free and asserted once per
-            // segment: the loud failure survives, without a potential panic
-            // edge (and its formatting machinery) inside the per-node loop.
-            let mut held = true;
-            for &id in seg {
-                let occupant = std::mem::replace(&mut self.occupant[id as usize], FREE_TOKEN);
-                held &= occupant == alloc.token;
-                debug_assert_eq!(self.node_pool[id as usize], pi);
-            }
+        let Allocation { mut per_pool, .. } = alloc;
+        for &(pi, n) in &per_pool {
+            let pool = &mut self.pools[pi as usize];
             assert!(
-                held,
-                "release of a node not held by token {} (pool {pi})",
-                alloc.token
+                n <= pool.busy(),
+                "release of {n} nodes to pool {pi}, which has {} busy",
+                pool.busy()
             );
-            self.pools[pi as usize].free.extend_from_slice(seg);
+            pool.free += n;
+            self.free_count += n;
         }
-        debug_assert_eq!(offset, alloc.nodes.len());
-        self.free_count += alloc.nodes.len() as u32;
-        let Allocation {
-            mut nodes,
-            mut per_pool,
-            ..
-        } = alloc;
-        nodes.clear();
         per_pool.clear();
-        self.spare.push((nodes, per_pool));
+        self.spare.push(per_pool);
     }
 
     /// Detach the retired-allocation buffer pool, e.g. into a sweep arena
@@ -581,7 +454,7 @@ impl Cluster {
     /// moving them between clusters cannot change any allocation outcome;
     /// it only spares `try_allocate` the warm-up allocations.
     pub fn install_spare(&mut self, spare: AllocationSpare) {
-        debug_assert!(spare.0.iter().all(|(n, p)| n.is_empty() && p.is_empty()));
+        debug_assert!(spare.0.iter().all(Vec::is_empty));
         self.spare = spare.0;
     }
 
@@ -626,11 +499,7 @@ impl Cluster {
     pub fn pool_occupancy(&self) -> Vec<(u64, u32, u32)> {
         self.pools
             .iter()
-            .map(|p| {
-                let offline = p.offline.len() as u32;
-                let busy = p.total - p.free.len() as u32 - offline;
-                (p.capacity.mem_kb, p.total, busy)
-            })
+            .map(|p| (p.capacity.mem_kb, p.total, p.busy()))
             .collect()
     }
 
@@ -690,10 +559,12 @@ impl Cluster {
     /// Busy nodes in pool `idx` right now. Offline nodes are neither free
     /// nor busy. Allocation-free counterpart of [`Cluster::pool_occupancy`]
     /// for per-tick stats accumulation.
+    ///
+    /// # Panics
+    /// Panics for out-of-range pool indices.
     #[inline]
     pub fn pool_busy_count(&self, idx: usize) -> u32 {
-        let p = &self.pools[idx];
-        p.total - p.free.len() as u32 - p.offline.len() as u32
+        self.pools[idx].busy()
     }
 }
 
@@ -714,8 +585,8 @@ mod tests {
         assert_eq!(c.total_nodes(), 8);
         assert_eq!(c.free_nodes(), 8);
         assert_eq!(c.busy_nodes(), 0);
-        assert_eq!(c.node_capacity(0).mem_kb, 32 * 1024);
-        assert_eq!(c.node_capacity(7).mem_kb, 24 * 1024);
+        assert_eq!(c.pool_capacity(0).mem_kb, 32 * 1024);
+        assert_eq!(c.pool_capacity(1).mem_kb, 24 * 1024);
     }
 
     #[test]
@@ -724,8 +595,8 @@ mod tests {
         let a = c
             .try_allocate(2, &Demand::memory(10 * 1024), MatchPolicy::BestFit, 1)
             .unwrap();
-        // Both pools satisfy 10 MB; best-fit picks the 24 MB pool (ids 4..8).
-        assert!(a.nodes().iter().all(|&id| id >= 4));
+        // Both pools satisfy 10 MB; best-fit picks the 24 MB pool (pool 1).
+        assert_eq!(a.per_pool(), &[(1, 2)]);
         c.release(a);
     }
 
@@ -735,7 +606,7 @@ mod tests {
         let a = c
             .try_allocate(2, &Demand::memory(10 * 1024), MatchPolicy::WorstFit, 1)
             .unwrap();
-        assert!(a.nodes().iter().all(|&id| id < 4));
+        assert_eq!(a.per_pool(), &[(0, 2)]);
         c.release(a);
     }
 
@@ -748,9 +619,8 @@ mod tests {
         let a = c
             .try_allocate(3, &Demand::memory(10 * 1024), MatchPolicy::FirstFit, 1)
             .unwrap();
-        // Exhausts the first pool (0, 1) then spills into the second.
-        assert_eq!(a.nodes().len(), 3);
-        assert!(a.nodes().contains(&0) && a.nodes().contains(&1));
+        // Exhausts the first pool then spills into the second.
+        assert_eq!(a.per_pool(), &[(0, 2), (1, 1)]);
     }
 
     #[test]
@@ -759,7 +629,8 @@ mod tests {
         let a = c
             .try_allocate(6, &Demand::memory(1024), MatchPolicy::BestFit, 9)
             .unwrap();
-        assert_eq!(a.nodes().len(), 6);
+        // Best-fit drains the 24 MB pool, then takes two 32 MB nodes.
+        assert_eq!(a.per_pool(), &[(1, 4), (0, 2)]);
         assert_eq!(c.free_nodes(), 2);
         c.release(a);
         assert_eq!(c.free_nodes(), 8);
@@ -778,7 +649,7 @@ mod tests {
         let a = c
             .try_allocate(4, &Demand::memory(28 * 1024), MatchPolicy::BestFit, 1)
             .unwrap();
-        assert!(a.nodes().iter().all(|&id| id < 4));
+        assert_eq!(a.per_pool(), &[(0, 4)]);
     }
 
     #[test]
@@ -787,7 +658,7 @@ mod tests {
         let a = c
             .try_allocate(0, &Demand::memory(u64::MAX), MatchPolicy::BestFit, 1)
             .unwrap();
-        assert!(a.nodes().is_empty());
+        assert!(a.per_pool().is_empty());
         assert_eq!(c.free_nodes(), 8);
         c.release(a);
     }
@@ -807,16 +678,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not held by token")]
-    fn release_with_wrong_token_panics() {
+    #[should_panic(expected = "which has 1 busy")]
+    fn release_of_more_nodes_than_a_pool_has_busy_panics() {
         let mut c = two_pool_cluster();
         let a = c
             .try_allocate(1, &Demand::memory(1024), MatchPolicy::BestFit, 1)
             .unwrap();
+        assert_eq!(a.per_pool(), &[(1, 1)]);
+        // A forged segment returning two nodes to a pool that lent one.
         let forged = Allocation {
-            nodes: a.nodes().to_vec(),
-            per_pool: a.per_pool.clone(),
-            token: 999,
+            per_pool: vec![(1, 2)],
+            token: 1,
         };
         c.release(forged);
     }
@@ -890,8 +762,8 @@ mod tests {
     #[test]
     fn matched_with_match_all_is_bit_identical_to_native() {
         // Same interleaved allocate/release sequence through both entry
-        // points must grant the same node ids in the same order, under
-        // every policy.
+        // points must grant the same per-pool segments in the same order,
+        // under every policy.
         for policy in [
             MatchPolicy::FirstFit,
             MatchPolicy::BestFit,
@@ -912,7 +784,6 @@ mod tests {
                     matched.try_allocate_matched(count, &demand, policy, i as u64, &mut matcher);
                 match (a, b) {
                     (Some(a), Some(b)) => {
-                        assert_eq!(a.nodes(), b.nodes(), "{policy:?} step {i}");
                         assert_eq!(a.per_pool(), b.per_pool(), "{policy:?} step {i}");
                         held_native.push(a);
                         held_matched.push(b);
@@ -932,8 +803,8 @@ mod tests {
     fn matcher_restricts_eligible_pools() {
         let mut c = two_pool_cluster();
         let mut only_second = OnlyPools(vec![1]);
-        // Pool 1 holds the 24 MB nodes (ids 4..8); pool 0 must never be
-        // drawn even though its capacity satisfies the demand.
+        // Pool 0 must never be drawn even though its capacity satisfies
+        // the demand.
         let a = c
             .try_allocate_matched(
                 3,
@@ -943,7 +814,7 @@ mod tests {
                 &mut only_second,
             )
             .unwrap();
-        assert!(a.nodes().iter().all(|&id| id >= 4));
+        assert_eq!(a.per_pool(), &[(1, 3)]);
         // Only one matched node remains free: a two-node ask must refuse
         // without leaking, even though pool 0 has four free nodes.
         assert!(c
@@ -974,7 +845,7 @@ mod tests {
                 &mut matcher,
             )
             .unwrap();
-        assert!(a.nodes().iter().all(|&id| id >= 4), "{:?}", a.nodes());
+        assert_eq!(a.per_pool(), &[(1, 2)]);
         c.release(a);
         // With a constant rank, the stable sort keeps the policy order.
         struct FlatRank;
@@ -995,7 +866,7 @@ mod tests {
                 &mut FlatRank,
             )
             .unwrap();
-        assert!(b.nodes().iter().all(|&id| id < 4), "{:?}", b.nodes());
+        assert_eq!(b.per_pool(), &[(0, 2)]);
         c.release(b);
     }
 
@@ -1057,6 +928,12 @@ mod tests {
         assert_eq!(c.take_offline(32 * 1024, 3), 3);
         assert_eq!(c.free_nodes(), 5);
         assert_eq!(c.offline_nodes(), 3);
+        // Departed nodes are neither free nor busy.
+        assert_eq!(c.busy_nodes(), 0);
+        assert_eq!(
+            c.pool_occupancy(),
+            vec![(32 * 1024, 4, 0), (24 * 1024, 4, 0)]
+        );
         assert_eq!(c.nodes_satisfying(&Demand::memory(1024)), 5);
         // Only one 32 MB node remains online: a two-node 28 MB demand fails.
         assert!(c

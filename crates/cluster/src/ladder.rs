@@ -51,6 +51,9 @@ impl CapacityLadder {
     }
 
     /// Largest capacity in the cluster.
+    ///
+    /// # Panics
+    /// Never: a ladder is non-empty by construction.
     #[expect(
         clippy::expect_used,
         reason = "invariant: a ladder is non-empty by construction"
@@ -63,6 +66,9 @@ impl CapacityLadder {
     }
 
     /// Smallest capacity in the cluster.
+    ///
+    /// # Panics
+    /// Never: a ladder is non-empty by construction.
     #[expect(
         clippy::expect_used,
         reason = "invariant: a ladder is non-empty by construction"

@@ -25,7 +25,7 @@
 //! let alloc = cluster
 //!     .try_allocate(4, &demand, MatchPolicy::BestFit, 1)
 //!     .expect("the 32 MB pool satisfies 28 MB");
-//! assert_eq!(alloc.nodes().len(), 4);
+//! assert_eq!(alloc.per_pool(), &[(0, 4)]); // four nodes of pool 0
 //! cluster.release(alloc);
 //! assert_eq!(cluster.free_nodes(), 1024);
 //! ```
@@ -52,7 +52,7 @@ pub mod matchmaking;
 pub mod resources;
 
 pub use builder::ClusterBuilder;
-pub use cluster::{Allocation, AllocationSpare, Cluster, MatchPolicy, NodeId};
+pub use cluster::{Allocation, AllocationSpare, Cluster, MatchPolicy};
 pub use ladder::CapacityLadder;
 pub use matchmaking::{MatchAll, PoolMatcher};
 pub use resources::{Capacity, Demand};

@@ -1,5 +1,6 @@
-//! Property-based tests for the cluster substrate: allocation conservation
-//! and ladder-rounding correctness under arbitrary operation sequences.
+//! Property-based tests for the cluster substrate: node conservation under
+//! arbitrary allocate/release/churn sequences, and ladder-rounding
+//! correctness.
 
 use proptest::prelude::*;
 use resmatch_cluster::{Allocation, CapacityLadder, Cluster, ClusterBuilder, Demand, MatchPolicy};
@@ -16,24 +17,42 @@ fn arb_policy() -> impl Strategy<Value = MatchPolicy> {
 enum Op {
     Alloc { count: u32, mem_kb: u64 },
     ReleaseOldest,
+    TakeOffline { pool: usize, count: u32 },
+    BringOnline { pool: usize, count: u32 },
 }
+
+/// `(nodes, memory KB)` per pool, in construction order; memories are
+/// distinct, so a churn op on one memory touches exactly one pool.
+const POOLS: [(u32, u64); 3] = [(32, 32 * 1024), (32, 24 * 1024), (16, 8 * 1024)];
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
             (1u32..40, 1u64..40_000).prop_map(|(count, mem_kb)| Op::Alloc { count, mem_kb }),
             Just(Op::ReleaseOldest),
+            (0..POOLS.len(), 1u32..12).prop_map(|(pool, count)| Op::TakeOffline { pool, count }),
+            (0..POOLS.len(), 1u32..12).prop_map(|(pool, count)| Op::BringOnline { pool, count }),
         ],
         1..120,
     )
 }
 
 fn build_cluster() -> Cluster {
-    ClusterBuilder::new()
-        .pool(32, 32 * 1024)
-        .pool(32, 24 * 1024)
-        .pool(16, 8 * 1024)
+    POOLS
+        .iter()
+        .fold(ClusterBuilder::new(), |b, &(nodes, mem_kb)| {
+            b.pool(nodes, mem_kb)
+        })
         .build()
+}
+
+/// Nodes the held allocations drew from each pool.
+fn held_per_pool(held: &[Allocation]) -> [u32; POOLS.len()] {
+    let mut per_pool = [0; POOLS.len()];
+    for &(pi, n) in held.iter().flat_map(Allocation::per_pool) {
+        per_pool[pi as usize] += n;
+    }
+    per_pool
 }
 
 proptest! {
@@ -42,7 +61,7 @@ proptest! {
         let mut cluster = build_cluster();
         let total = cluster.total_nodes();
         let mut held: Vec<Allocation> = Vec::new();
-        let mut held_nodes = 0u32;
+        let mut offline = [0u32; POOLS.len()];
         for (token, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Alloc { count, mem_kb } => {
@@ -51,12 +70,12 @@ proptest! {
                     match cluster.try_allocate(count, &demand, policy, token as u64) {
                         Some(alloc) => {
                             prop_assert!(eligible_free >= count, "granted without capacity");
-                            prop_assert_eq!(alloc.nodes().len() as u32, count);
-                            // Every granted node satisfies the demand.
-                            for &n in alloc.nodes() {
-                                prop_assert!(cluster.node_capacity(n).satisfies(&demand));
+                            let granted: u32 = alloc.per_pool().iter().map(|&(_, n)| n).sum();
+                            prop_assert_eq!(granted, count);
+                            // Every segment's pool satisfies the demand.
+                            for &(pi, _) in alloc.per_pool() {
+                                prop_assert!(cluster.pool_capacity(pi as usize).satisfies(&demand));
                             }
-                            held_nodes += count;
                             held.push(alloc);
                         }
                         None => {
@@ -66,50 +85,42 @@ proptest! {
                 }
                 Op::ReleaseOldest => {
                     if !held.is_empty() {
-                        let alloc = held.remove(0);
-                        held_nodes -= alloc.nodes().len() as u32;
-                        cluster.release(alloc);
+                        cluster.release(held.remove(0));
                     }
                 }
+                Op::TakeOffline { pool, count } => {
+                    // Only free nodes leave.
+                    let free = POOLS[pool].0 - offline[pool] - held_per_pool(&held)[pool];
+                    let taken = cluster.take_offline(POOLS[pool].1, count);
+                    prop_assert_eq!(taken, count.min(free));
+                    offline[pool] += taken;
+                }
+                Op::BringOnline { pool, count } => {
+                    let restored = cluster.bring_online(POOLS[pool].1, count);
+                    prop_assert_eq!(restored, count.min(offline[pool]));
+                    offline[pool] -= restored;
+                }
             }
-            prop_assert_eq!(cluster.free_nodes() + held_nodes, total);
+            // Per pool, free + offline + held == total: the pool's busy
+            // count is exactly what the held segments drew from it, so no
+            // node is double-booked.
+            let held_now = held_per_pool(&held);
+            let occupancy = cluster.pool_occupancy();
+            for (pi, &(nodes, mem_kb)) in POOLS.iter().enumerate() {
+                prop_assert_eq!(occupancy[pi], (mem_kb, nodes, held_now[pi]));
+                prop_assert_eq!(cluster.pool_busy_count(pi), held_now[pi]);
+            }
+            let held_nodes: u32 = held_now.iter().sum();
+            prop_assert_eq!(cluster.offline_nodes(), offline.iter().sum::<u32>());
+            prop_assert_eq!(cluster.free_nodes() + cluster.offline_nodes() + held_nodes, total);
             prop_assert_eq!(cluster.busy_nodes(), held_nodes);
         }
         // Drain and verify full recovery.
         for alloc in held {
             cluster.release(alloc);
         }
-        prop_assert_eq!(cluster.free_nodes(), total);
-    }
-
-    #[test]
-    fn no_node_double_allocated(ops in arb_ops(), policy in arb_policy()) {
-        let mut cluster = build_cluster();
-        let mut held: Vec<Allocation> = Vec::new();
-        let mut busy = std::collections::BTreeSet::new();
-        for (token, op) in ops.into_iter().enumerate() {
-            match op {
-                Op::Alloc { count, mem_kb } => {
-                    if let Some(alloc) =
-                        cluster.try_allocate(count, &Demand::memory(mem_kb), policy, token as u64)
-                    {
-                        for &n in alloc.nodes() {
-                            prop_assert!(busy.insert(n), "node {} granted twice", n);
-                        }
-                        held.push(alloc);
-                    }
-                }
-                Op::ReleaseOldest => {
-                    if !held.is_empty() {
-                        let alloc = held.remove(0);
-                        for n in alloc.nodes() {
-                            busy.remove(n);
-                        }
-                        cluster.release(alloc);
-                    }
-                }
-            }
-        }
+        prop_assert_eq!(cluster.busy_nodes(), 0);
+        prop_assert_eq!(cluster.free_nodes() + cluster.offline_nodes(), total);
     }
 
     #[test]
@@ -137,9 +148,7 @@ proptest! {
         let alloc = cluster
             .try_allocate(count, &Demand::memory(mem_kb), MatchPolicy::BestFit, 1)
             .expect("capacity available");
-        for &n in alloc.nodes() {
-            prop_assert_eq!(cluster.node_capacity(n).mem_kb, 8 * 1024);
-        }
+        prop_assert_eq!(alloc.per_pool(), &[(2, count)]);
         cluster.release(alloc);
     }
 }

@@ -122,9 +122,18 @@ impl SnapshotState {
     /// [`SnapshotError::Mismatch`], and an empty part list is rejected as
     /// [`SnapshotError::Empty`] (there is no way to pick a variant).
     pub fn merge(parts: Vec<SnapshotState>) -> Result<SnapshotState, SnapshotError> {
-        let mut iter = parts.into_iter();
-        let mut merged = iter.next().ok_or(SnapshotError::Empty)?;
-        for part in iter {
+        // One allocation of the summed size: the merged vector holds no
+        // spare capacity, however many parts it came from.
+        let total = parts.iter().map(SnapshotState::group_count).sum();
+        let mut merged = match parts.first().ok_or(SnapshotError::Empty)? {
+            SnapshotState::SuccessiveV1 { .. } => SnapshotState::SuccessiveV1 {
+                groups: Vec::with_capacity(total),
+            },
+            SnapshotState::LastInstanceV1 { .. } => SnapshotState::LastInstanceV1 {
+                groups: Vec::with_capacity(total),
+            },
+        };
+        for part in parts {
             match (&mut merged, part) {
                 (
                     SnapshotState::SuccessiveV1 { groups },
@@ -224,6 +233,10 @@ mod tests {
             assert_eq!(total, state.group_count());
             let merged = SnapshotState::merge(parts).expect("same-kind parts merge");
             assert_eq!(merged, state, "shards = {shards}");
+            let SnapshotState::SuccessiveV1 { groups } = &merged else {
+                panic!("unexpected variant");
+            };
+            assert_eq!(groups.capacity(), groups.len(), "shards = {shards}");
         }
     }
 

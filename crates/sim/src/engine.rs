@@ -292,7 +292,9 @@ pub struct SimArena {
     group_epoch_by_slot: Vec<u64>,
     sjf_heap: BinaryHeap<Reverse<(Time, i64)>>,
     pool_busy_time: Vec<f64>,
-    pool_busy: Vec<u32>,
+    /// Release buffer of the debug build's EASY shadow-time cross-check.
+    #[cfg(debug_assertions)]
+    shadow_check: Vec<(Time, u32)>,
     /// Retired-allocation buffers carried *across* cluster instances:
     /// sweep points clone a fresh cluster each, but the buffer pool is
     /// content-free (capacity only), so handing it to the next point's
@@ -389,12 +391,9 @@ struct RunState {
     weighted_span_s: f64,
     /// Busy-node-seconds per pool (construction order).
     pool_busy_time: Vec<f64>,
-    /// Busy nodes per pool right now, maintained from each allocation's
-    /// per-pool counts at start and release. Mirrors
-    /// `Cluster::pool_busy_count` (churn moves nodes between free and
-    /// offline only, never busy) without a per-pool cluster query on every
-    /// event.
-    pool_busy: Vec<u32>,
+    /// Release buffer of the debug build's EASY shadow-time cross-check.
+    #[cfg(debug_assertions)]
+    shadow_check: Vec<(Time, u32)>,
 }
 
 /// A scheduled change in cluster membership — the paper's §1.1 setting
@@ -578,13 +577,8 @@ impl Simulation {
             state.queue_len_time += state.queue.len() as f64 * dt;
             state.busy_nodes_time += self.cluster.busy_nodes() as f64 * dt;
             state.weighted_span_s += dt;
-            for (i, (slot, &busy)) in state
-                .pool_busy_time
-                .iter_mut()
-                .zip(&state.pool_busy)
-                .enumerate()
-            {
-                debug_assert_eq!(busy, self.cluster.pool_busy_count(i));
+            for (i, slot) in state.pool_busy_time.iter_mut().enumerate() {
+                let busy = self.cluster.pool_busy_count(i);
                 // Zero terms are skipped: the accumulator is a sum of
                 // non-negative products, so `+ 0.0` is the bit-exact
                 // identity here.
@@ -713,12 +707,8 @@ impl Simulation {
                 v.resize(self.cluster.num_pools(), 0.0);
                 v
             },
-            pool_busy: {
-                let mut v = mem::take(&mut arena.pool_busy);
-                v.clear();
-                v.resize(self.cluster.num_pools(), 0);
-                v
-            },
+            #[cfg(debug_assertions)]
+            shadow_check: mem::take(&mut arena.shadow_check),
         };
         // Only the churn schedule is statically known now; it seeds the
         // queue's sorted cursor-consumed prefix, so its entries beat
@@ -916,7 +906,8 @@ impl Simulation {
             release_table,
             sjf_heap,
             pool_busy_time,
-            pool_busy,
+            #[cfg(debug_assertions)]
+            shadow_check,
             mut obs,
             counters,
             total_executions,
@@ -986,7 +977,10 @@ impl Simulation {
         arena.group_epoch_by_slot = group_epoch_by_slot;
         arena.sjf_heap = sjf_heap;
         arena.pool_busy_time = pool_busy_time;
-        arena.pool_busy = pool_busy;
+        #[cfg(debug_assertions)]
+        {
+            arena.shadow_check = shadow_check;
+        }
         arena.alloc_spare = self.cluster.take_spare();
         // Observers get the last word: TraceLogObserver deposits its log
         // into `result.trace_log` here.
@@ -1033,9 +1027,6 @@ impl Simulation {
             disk_kb: min_disk,
             packages: self.cluster.allocation_packages(&run.alloc) & job.requested_packages,
         };
-        for &(pi, n) in run.alloc.per_pool() {
-            state.pool_busy[pi as usize] -= n;
-        }
         self.cluster.release(run.alloc);
 
         let ctx = EstimateContext {
@@ -1349,9 +1340,6 @@ impl Simulation {
             state.queue.set_failed_stamp(idx, state.retry_epoch);
             return false;
         };
-        for &(pi, n) in alloc.per_pool() {
-            state.pool_busy[pi as usize] += n;
-        }
         let queued = state.queue.get(idx);
         let slot = queued.job;
         state.total_executions += 1;
@@ -1539,21 +1527,19 @@ impl Simulation {
                     // rebuild-and-sort computation it replaced.
                     #[cfg(debug_assertions)]
                     {
-                        let releases: Vec<(Time, u32)> = state
-                            .runs
-                            .iter_live()
-                            .map(|(end, alloc)| {
-                                let eligible = self.cluster.allocation_nodes_satisfying_matched(
-                                    alloc,
-                                    &head_demand,
-                                    matcher,
-                                );
-                                (end, eligible)
-                            })
-                            .collect();
+                        let releases = &mut state.shadow_check;
+                        releases.clear();
+                        releases.extend(state.runs.iter_live().map(|(end, alloc)| {
+                            let eligible = self.cluster.allocation_nodes_satisfying_matched(
+                                alloc,
+                                &head_demand,
+                                matcher,
+                            );
+                            (end, eligible)
+                        }));
                         debug_assert_eq!(
                             crossing.map(|t| t.max(now)),
-                            shadow_time(free_now, head_nodes, &releases, now),
+                            shadow_time(free_now, head_nodes, releases, now),
                             "incremental crossing diverged from shadow_time"
                         );
                     }
@@ -2370,6 +2356,45 @@ mod tests {
         assert_eq!(r.completed_jobs, 1);
         assert_eq!(r.failed_executions, 0);
         assert_eq!(r.records[0].completion, Time::from_secs(100));
+    }
+
+    #[test]
+    fn mean_busy_nodes_excludes_offline_nodes() {
+        // Three of the four 32 MB nodes leave at t=0 and two 1-node jobs
+        // run. Departed nodes are neither free nor busy, so the mean busy
+        // count is the pools' busy fractions summed over their nodes.
+        let jobs = wl(vec![
+            JobBuilder::new(1)
+                .nodes(1)
+                .runtime(Time::from_secs(100))
+                .build(),
+            JobBuilder::new(2)
+                .submit(Time::from_secs(10))
+                .nodes(1)
+                .runtime(Time::from_secs(50))
+                .build(),
+        ]);
+        let r = Simulation::new(
+            SimConfig::default(),
+            cluster_32_24(4),
+            EstimatorSpec::PassThrough,
+        )
+        .with_churn(vec![ChurnEvent {
+            time: Time::ZERO,
+            mem_kb: 32 * MB,
+            delta: -3,
+        }])
+        .run(&jobs);
+        let per_pool: f64 = r
+            .pool_stats
+            .iter()
+            .map(|p| p.mean_busy_fraction * f64::from(p.nodes))
+            .sum();
+        assert!(
+            (r.mean_busy_nodes - per_pool).abs() < 1e-9,
+            "mean_busy_nodes {} against {per_pool} over the pools",
+            r.mean_busy_nodes
+        );
     }
 
     #[test]

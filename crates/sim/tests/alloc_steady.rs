@@ -18,8 +18,7 @@
 //! The third run of each configuration on one arena must stay under a
 //! stated budget at both sizes. A per-event allocation anywhere on those
 //! paths (queue, release table, EASY hunt, matcher `prepare`) grows with
-//! the trace and fails this. EASY is checked in optimized builds only:
-//! the debug build's shadow-time cross-check allocates by design.
+//! the trace and fails this.
 //!
 //! One `#[test]` only: the counter is process-wide, so a second test on
 //! another thread would leak its allocations into these counts.
@@ -183,8 +182,8 @@ fn warm_sweep_points_allocate_a_job_count_independent_constant() {
     // per-run scaffolding plus the estimator's group table; matched runs
     // add the fresh matcher's per-signature tables, which are bounded by
     // the verdict classes, not by the trace. Measured on x86-64 Linux:
-    // 12-17 native and 22-25 matched at both sizes; one allocation per
-    // event would cost thousands.
+    // 9-12 native and 17-23 matched at both sizes, in debug and release
+    // builds alike; one allocation per event would cost thousands.
     const NATIVE_BUDGET: u64 = 32;
     const MATCHED_BUDGET: u64 = 48;
     let (cluster, _) = capability_cluster();
@@ -196,13 +195,6 @@ fn warm_sweep_points_allocate_a_job_count_independent_constant() {
         SchedulingPolicy::EasyBackfill,
         SchedulingPolicy::Sjf,
     ] {
-        // Debug builds check EASY's incremental shadow time against the
-        // rebuild-and-sort reference on every pass, and that reference
-        // allocates; EASY meets its budget in optimized builds
-        // (`cargo test --release -p resmatch-sim`).
-        if cfg!(debug_assertions) && policy == SchedulingPolicy::EasyBackfill {
-            continue;
-        }
         for matched in [false, true] {
             let budget = if matched {
                 MATCHED_BUDGET
