@@ -448,9 +448,21 @@ impl<M: PoolMatcher> PoolMatcher for NoClaims<M> {
 
 /// Run a matchmaking bench scenario through the matchmaker and through
 /// [`NoClaims`] around it, and pin both runs to the same digest: the
-/// signature-keyed memos must be invisible in the output.
-fn check_matchmaking_pinned(name: &str, expected: u64, cfg: SimConfig, rank: Option<&str>) {
+/// signature-keyed memos must be invisible in the output. `churn` adds
+/// [`churn_schedule`] over the workload's span.
+fn check_matchmaking_pinned(
+    name: &str,
+    expected: u64,
+    cfg: SimConfig,
+    rank: Option<&str>,
+    churn: bool,
+) {
     let w = matchmaking_workload();
+    let churn = if churn {
+        churn_schedule(&w)
+    } else {
+        Vec::new()
+    };
     for no_claims in [false, true] {
         let (cluster, ads) = matchmaking_cluster_ads();
         let mut mm = resmatch_classad::Matchmaker::new(&ads);
@@ -464,6 +476,7 @@ fn check_matchmaking_pinned(name: &str, expected: u64, cfg: SimConfig, rank: Opt
         };
         let r = Simulation::new(cfg, cluster, EstimatorSpec::paper_successive())
             .with_matchmaking(matcher)
+            .with_churn(churn.clone())
             .run(&w);
         let label = if no_claims {
             format!("{name} through NoClaims")
@@ -487,6 +500,7 @@ fn golden_matchmaking_fcfs_successive_hash_pinned() {
         0x5e30_1bed_f86a_1b1e,
         SimConfig::default(),
         None,
+        false,
     );
 }
 
@@ -499,6 +513,7 @@ fn golden_matchmaking_sjf_successive_hash_pinned() {
         0x5c01_28f4_979e_e207,
         cfg,
         None,
+        false,
     );
 }
 
@@ -513,6 +528,7 @@ fn golden_matchmaking_easy_successive_hash_pinned() {
         0xfc7e_a838_e815_29e6,
         cfg,
         None,
+        false,
     );
 }
 
@@ -526,6 +542,47 @@ fn golden_matchmaking_fcfs_ranked_hash_pinned() {
         0x2111_68e7_c6fe_5a69,
         SimConfig::default(),
         Some("other.Memory"),
+        false,
+    );
+}
+
+/// The FCFS matchmaking scenario under [`churn_schedule`]: capacity
+/// changes move the structural epoch while the matcher constrains pools.
+#[test]
+fn golden_matchmaking_fcfs_successive_churn_hash_pinned() {
+    check_matchmaking_pinned(
+        "matchmaking_fcfs_successive_churn",
+        0xff88_5791_74eb_1e3d,
+        SimConfig::default(),
+        None,
+        true,
+    );
+}
+
+/// The SJF matchmaking scenario under [`churn_schedule`].
+#[test]
+fn golden_matchmaking_sjf_successive_churn_hash_pinned() {
+    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::Sjf);
+    check_matchmaking_pinned(
+        "matchmaking_sjf_successive_churn",
+        0xc424_b024_d927_44a0,
+        cfg,
+        None,
+        true,
+    );
+}
+
+/// The EASY matchmaking scenario under [`churn_schedule`]: shadow walks
+/// and backfill hunts across capacity changes.
+#[test]
+fn golden_matchmaking_easy_successive_churn_hash_pinned() {
+    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
+    check_matchmaking_pinned(
+        "matchmaking_easy_successive_churn",
+        0x1651_d2df_8264_df68,
+        cfg,
+        None,
+        true,
     );
 }
 
@@ -556,18 +613,17 @@ fn golden_fcfs_reinforcement_fault_injection() {
     check("fcfs_reinforcement_fault_injection", &r);
 }
 
-#[test]
-fn golden_fcfs_successive_churn_with_trace() {
-    // Dynamic membership: half the 24 MB pool leaves mid-trace and returns
-    // near the end. The trace log is rendered too, pinning every
-    // per-decision admission/start/completion — the strictest check here.
-    let w = base_workload();
+/// Dynamic membership over `w`'s submit span: half the 24 MB pool leaves
+/// at a quarter of the span, a quarter of the 32 MB pool at half, and
+/// both return (at three quarters and nine tenths). Every churn golden
+/// and pin shares this schedule.
+fn churn_schedule(w: &Workload) -> Vec<ChurnEvent> {
     let jobs = w.jobs();
     let t0 = jobs.first().map(|j| j.submit).unwrap_or(Time::ZERO);
     let t1 = jobs.last().map(|j| j.submit).unwrap_or(Time::ZERO);
     let span_ms = t1.saturating_sub(t0).as_millis();
     let at = |frac: f64| t0 + Time::from_millis((span_ms as f64 * frac) as u64);
-    let churn = vec![
+    vec![
         ChurnEvent {
             time: at(0.25),
             mem_kb: 24 * 1024,
@@ -588,16 +644,49 @@ fn golden_fcfs_successive_churn_with_trace() {
             mem_kb: 32 * 1024,
             delta: 128,
         },
-    ];
+    ]
+}
+
+#[test]
+fn golden_fcfs_successive_churn_with_trace() {
+    // Dynamic membership: half the 24 MB pool leaves mid-trace and returns
+    // near the end. The trace log is rendered too, pinning every
+    // per-decision admission/start/completion — the strictest check here.
+    let w = base_workload();
     let r = Simulation::builder()
         .cluster(paper_cluster(24))
         .estimator(EstimatorSpec::paper_successive())
-        .churn(churn.clone())
+        .churn(churn_schedule(&w))
         .trace_log()
         .build()
         .expect("cluster and estimator are set")
         .run(&w);
     check("fcfs_successive_churn_with_trace", &r);
+}
+
+/// Pinned digest of EASY backfill + successive estimation under the churn
+/// schedule: membership changes bump the structural epoch, the key the
+/// shadow cache shares with every other engine memo, so this pins the
+/// reservation path across capacity changes.
+#[test]
+fn golden_easy_successive_churn_hash_pinned() {
+    let w = base_workload();
+    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
+    let r = Simulation::new(cfg, paper_cluster(24), EstimatorSpec::paper_successive())
+        .with_churn(churn_schedule(&w))
+        .run(&w);
+    check_pinned("easy_successive_churn", 0x032a_15ed_3fc6_cd25, &r);
+}
+
+/// Pinned digest of SJF + successive estimation under the churn schedule.
+#[test]
+fn golden_sjf_successive_churn_hash_pinned() {
+    let w = base_workload();
+    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::Sjf);
+    let r = Simulation::new(cfg, paper_cluster(24), EstimatorSpec::paper_successive())
+        .with_churn(churn_schedule(&w))
+        .run(&w);
+    check_pinned("sjf_successive_churn", 0xcb6f_5139_f98a_d036, &r);
 }
 
 #[test]
