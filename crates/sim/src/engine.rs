@@ -201,77 +201,6 @@ struct ShadowCache {
     scanned: usize,
 }
 
-/// Key of the free-bound memo and of the EASY eligible-count epoch: the
-/// matcher's verdict-class signature when it vouches for one
-/// ([`PoolMatcher::demand_signature`]), else the raw demand. Equal keys
-/// guarantee equal per-pool allocator verdicts, so one memo row serves
-/// every demand of a verdict class; [`MatchAll`] vouches for nothing, so
-/// native allocation keys by demand.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum MemoKey {
-    Signature(u64),
-    Demand(Demand),
-}
-
-impl MemoKey {
-    /// The key of `demand`, which `matcher` must be prepared for.
-    #[inline]
-    fn of<M: PoolMatcher + ?Sized>(matcher: &M, demand: &Demand) -> Self {
-        matcher
-            .demand_signature()
-            .map_or(MemoKey::Demand(*demand), MemoKey::Signature)
-    }
-}
-
-/// Eligible-free node counts per [`MemoKey`], memoized under one retry
-/// epoch. Starts only shrink the free set within an epoch (releases and
-/// churn bump it), so each cached count is an *upper bound* on the live
-/// one: an entry demanding more nodes than the bound is provably refused
-/// at `try_allocate_matched`'s availability gate, with nothing else to
-/// observe — estimates are rung-quantized, so a handful of rows absorbs
-/// most of a saturated queue's allocation attempts.
-struct FreeCache {
-    rows: Vec<(MemoKey, u32)>,
-    /// Retry epoch the rows belong to; a mismatch clears them.
-    stamp: u64,
-}
-
-impl FreeCache {
-    /// The epoch's bound for `demand`, leaving `matcher` prepared for it.
-    /// Matcher verdicts are pure in (demand, pool ad), so a matched count
-    /// is memoizable under exactly the same epoch reasoning as a
-    /// capacity-only one; preparing first is what makes a signature key
-    /// available.
-    #[inline]
-    fn bound<M: PoolMatcher + ?Sized>(
-        &mut self,
-        epoch: u64,
-        cluster: &Cluster,
-        demand: &Demand,
-        matcher: &mut M,
-    ) -> u32 {
-        if self.stamp != epoch {
-            self.rows.clear();
-            self.stamp = epoch;
-        }
-        matcher.prepare(demand);
-        let key = MemoKey::of(matcher, demand);
-        if let Some(&(_, f)) = self.rows.iter().find(|(k, _)| *k == key) {
-            return f;
-        }
-        let f = cluster.free_nodes_satisfying_matched(demand, matcher);
-        self.rows.push((key, f));
-        f
-    }
-
-    /// Lower the row for `key` to a live count.
-    fn tighten(&mut self, key: MemoKey, live: u32) {
-        if let Some(row) = self.rows.iter_mut().find(|(k, _)| *k == key) {
-            row.1 = live;
-        }
-    }
-}
-
 /// Reusable simulation buffers: every growable structure one run needs,
 /// cleared — capacity intact — rather than freed between runs.
 ///
@@ -287,7 +216,6 @@ pub struct SimArena {
     store: JobStore,
     runs: RunTable,
     release_table: ReleaseTable,
-    free_cache: Vec<(MemoKey, u32)>,
     group_slots: HashMap<u64, u32, FnvBuildHasher>,
     group_epoch_by_slot: Vec<u64>,
     sjf_heap: BinaryHeap<Reverse<(Time, i64)>>,
@@ -344,18 +272,10 @@ struct RunState {
     /// refusal ([`Queued::failed_alloc_stamp`]) repeats identically, so
     /// retries are skipped without touching the cluster.
     retry_epoch: u64,
-    /// Eligible-free bounds under the current retry epoch.
-    free_cache: FreeCache,
     /// Running jobs sorted by conservative completion time (EASY only).
     release_table: ReleaseTable,
     /// Last computed EASY reservation, keyed by head and generations.
     shadow_cache: Option<ShadowCache>,
-    /// The key of the head demand the release table's eligible counts
-    /// were computed against, and the epoch stamped on them. A signature
-    /// key holds the epoch (and the counts behind it) across raw demand
-    /// changes within one verdict class.
-    last_shadow_key: Option<MemoKey>,
-    shadow_demand_epoch: u64,
     /// SJF's index heap: `(requested_runtime, queue rank)`, so the next
     /// candidate is an O(1) peek instead of an O(queue) scan. Mirrors the
     /// queue exactly — entries are pushed on admission and popped only
@@ -470,15 +390,16 @@ impl Simulation {
     }
 
     /// Attach a matchmaking layer: every allocation decision — the up-front
-    /// feasibility gate, availability bounds, EASY reservation arithmetic,
+    /// feasibility gate, availability counts, EASY reservation arithmetic,
     /// and the allocation itself — then consults `matcher` in addition to
     /// raw capacity, and the matcher's rank expression (when
     /// [`PoolMatcher::is_ranked`]) replaces [`MatchPolicy`]'s pool order.
     ///
     /// The matcher's verdicts must be pure in `(prepared demand, pool ad)`:
-    /// the engine memoizes eligible-node counts across a retry epoch and
-    /// replays refusals, exactly as it does for capacity. A matcher whose
-    /// answers drift between identical calls breaks those proofs.
+    /// the engine replays refusals across a retry epoch and reuses the
+    /// EASY reservation while the running set stands still, exactly as it
+    /// does for capacity. A matcher whose answers drift between identical
+    /// calls breaks those proofs.
     ///
     /// Disk usage accounting rides along: with a matcher attached, a
     /// running job whose `used_disk_kb` exceeds the weakest allocated
@@ -664,22 +585,12 @@ impl Simulation {
             },
             running_gen: 0,
             retry_epoch: 0,
-            free_cache: FreeCache {
-                rows: {
-                    let mut v = mem::take(&mut arena.free_cache);
-                    v.clear();
-                    v
-                },
-                stamp: 0,
-            },
             release_table: {
                 let mut t = mem::take(&mut arena.release_table);
                 t.clear();
                 t
             },
             shadow_cache: None,
-            last_shadow_key: None,
-            shadow_demand_epoch: 0,
             sjf_heap: {
                 let mut h = mem::take(&mut arena.sjf_heap);
                 h.clear();
@@ -744,12 +655,6 @@ impl Simulation {
             obs.on_run_start(expected_jobs);
         }
 
-        // True when the queue head was left *blocked by a full scheduling
-        // pass* and nothing that could unblock it has happened since. Only
-        // arrivals can intervene without running `schedule` (see the gate
-        // below), and an arrival changes no epoch and frees no node, so the
-        // proof stays valid until the next pass resets the flag.
-        let mut head_blocked = false;
         loop {
             // Merge the feed against the event queue. `pending` is always
             // the next *surviving* arrival, so a feed-vs-event time tie
@@ -795,11 +700,6 @@ impl Simulation {
                     obs.on_admitted(now, job_id, queued.demand.mem_kb, 0);
                 }
                 self.push_back_queued(&mut state, queued);
-                if queue_len == 0 {
-                    // The new arrival became the head; nothing has
-                    // proven it blocked yet.
-                    head_blocked = false;
-                }
                 pending = Self::next_surviving(
                     &mut feed,
                     pristine.as_ref().unwrap_or(&self.cluster),
@@ -821,18 +721,6 @@ impl Simulation {
                             continue;
                         }
                     }
-                }
-                // FCFS only starts the head. If a pass already proved
-                // the head blocked and no completion/churn (the only
-                // events that free nodes or move epochs) has happened
-                // since, the pass this arrival would trigger is a
-                // by-construction no-op: the head is not stale (a pass
-                // refreshes before trying) and `try_allocate` sees the
-                // identical cluster, so it fails identically. EASY is
-                // excluded (the arrival itself may backfill), as is SJF
-                // (the arrival may become the new minimum).
-                if head_blocked && matches!(self.cfg.scheduling, SchedulingPolicy::Fcfs) {
-                    continue;
                 }
             } else {
                 #[expect(
@@ -874,10 +762,6 @@ impl Simulation {
                 }
             }
             self.schedule(&mut state, matcher, now);
-            // A pass ends either with an empty queue or because the head
-            // refused to start — in the latter case the head is now both
-            // fresh and proven blocked.
-            head_blocked = !state.queue.is_empty();
         }
 
         // With dynamic membership a queued job can outlive the nodes it
@@ -902,7 +786,6 @@ impl Simulation {
             records,
             group_slots,
             group_epoch_by_slot,
-            free_cache,
             release_table,
             sjf_heap,
             pool_busy_time,
@@ -972,7 +855,6 @@ impl Simulation {
         arena.store = store;
         arena.runs = runs;
         arena.release_table = release_table;
-        arena.free_cache = free_cache.rows;
         arena.group_slots = group_slots;
         arena.group_epoch_by_slot = group_epoch_by_slot;
         arena.sjf_heap = sjf_heap;
@@ -1263,8 +1145,8 @@ impl Simulation {
         idx: usize,
         now: Time,
     ) -> bool {
-        // One copy of the entry decides everything the refusal fast
-        // paths need — the columns are gathered once, not per check.
+        // One copy of the entry serves the retry check, the refresh and
+        // the attempt — the columns are gathered once, not per check.
         let q = state.queue.get(idx);
         // A refusal recorded under the current retry epoch is still
         // exact: nothing since has released nodes, changed membership,
@@ -1294,18 +1176,7 @@ impl Simulation {
         } else {
             (q.demand, q.nodes)
         };
-        // The entry is fresh past this point (refreshed above if needed),
-        // so a skipped allocation attempt skips nothing else: demanding
-        // more nodes than the epoch's free bound is exactly the refusal
-        // `try_allocate_matched`'s availability gate would produce,
-        // side-effect free.
-        let bound = state
-            .free_cache
-            .bound(state.retry_epoch, &self.cluster, &demand, matcher);
-        if job_nodes > bound {
-            state.queue.set_failed_stamp(idx, state.retry_epoch);
-            return false;
-        }
+        matcher.prepare(&demand);
         if state.matchmaking {
             state.counters.match_attempts += 1;
             if let Some(obs) = state.obs.as_deref_mut() {
@@ -1313,8 +1184,7 @@ impl Simulation {
             }
         }
         // Reuse a finished slab slot when one is free. Peeked, not popped:
-        // a refused allocation must leave the free list untouched. The
-        // bound left the matcher prepared for `demand`.
+        // a refused allocation must leave the free list untouched.
         let run_id = state.runs.peek_id();
         let Some(alloc) = self.cluster.try_allocate_matched(
             job_nodes,
@@ -1323,20 +1193,15 @@ impl Simulation {
             run_id,
             matcher,
         ) else {
-            // The bound over-approximated (an earlier start in this epoch
-            // shrank the free set); tighten it to the live count and
-            // record the refusal — until the next execution end or churn
-            // event it would repeat identically, so passes skip it.
+            // The entry is fresh (refreshed above if needed), so until the
+            // next execution end or churn event this refusal would repeat
+            // identically: record it and later passes skip the entry.
             if state.matchmaking {
                 state.counters.match_refusals += 1;
                 if let Some(obs) = state.obs.as_deref_mut() {
                     obs.on_match_refused(now, state.store.job(q.job).id);
                 }
             }
-            let live = self.cluster.free_nodes_satisfying_matched(&demand, matcher);
-            state
-                .free_cache
-                .tighten(MemoKey::of(matcher, &demand), live);
             state.queue.set_failed_stamp(idx, state.retry_epoch);
             return false;
         };
@@ -1486,43 +1351,26 @@ impl Simulation {
                         break;
                     }
                     // Phase 2: reservation for the blocked head, from the
-                    // incrementally maintained release table. Eligible
-                    // counts are cached per head demand: the epoch only
-                    // moves when the demand itself does.
+                    // incrementally maintained release table.
                     let Some(head) = state.queue.front() else {
                         break;
                     };
                     let head_demand = head.demand;
                     let head_job = head.job;
                     let head_nodes = head.nodes;
-                    // Prepare the matcher once for the head and key the
-                    // eligible-count epoch by its memo key: a signature
-                    // guarantees the full allocator predicate is unchanged
-                    // across the class, so the epoch holds still even when
-                    // the raw head demand moved.
                     matcher.prepare(&head_demand);
-                    let key = MemoKey::of(matcher, &head_demand);
-                    if state.last_shadow_key != Some(key) {
-                        state.last_shadow_key = Some(key);
-                        state.shadow_demand_epoch += 1;
-                    }
                     let free_now = self
                         .cluster
                         .free_nodes_satisfying_matched(&head_demand, matcher);
-                    let crossing = {
-                        let epoch = state.shadow_demand_epoch;
-                        let runs = &state.runs;
-                        let cluster = &self.cluster;
-                        state
-                            .release_table
-                            .crossing(free_now, head_nodes, epoch, |run_id| {
-                                cluster.allocation_nodes_satisfying_matched(
-                                    runs.alloc(run_id),
-                                    &head_demand,
-                                    matcher,
-                                )
-                            })
-                    };
+                    let crossing = state
+                        .release_table
+                        .crossing(free_now, head_nodes, |run_id| {
+                            self.cluster.allocation_nodes_satisfying_matched(
+                                state.runs.alloc(run_id),
+                                &head_demand,
+                                matcher,
+                            )
+                        });
                     // The incremental path must agree with the historical
                     // rebuild-and-sort computation it replaced.
                     #[cfg(debug_assertions)]
@@ -1569,10 +1417,10 @@ impl Simulation {
                 // index arithmetic — with a `try_start_at` call per
                 // genuine candidate. The hunt rejects on the entry alone
                 // (window, retry stamp) and gates fresh entries on the
-                // epoch's free bound inline: a completion invalidates
-                // every retry stamp at once, and this keeps the resulting
-                // first pass from paying a full call per provably-refused
-                // entry.
+                // live eligible-free count inline: a completion
+                // invalidates every retry stamp at once, and this keeps
+                // the resulting first pass from paying a full call per
+                // provably-refused entry.
                 let mut started = false;
                 let mut hunt_from = scan_from;
                 // The window the conservative completion must fit in;
@@ -1586,7 +1434,6 @@ impl Simulation {
                         let structural = state.structural_epoch;
                         let feedback = state.feedback_epoch;
                         let cluster = &self.cluster;
-                        let free_cache = &mut state.free_cache;
                         let slots = &state.group_epoch_by_slot;
                         let (rts, stamps, colds) = state.queue.hunt_columns(hunt_from);
                         let mut found = None;
@@ -1610,11 +1457,14 @@ impl Simulation {
                                     SCOPE_GLOBAL => q.feedback_stamp != feedback,
                                     slot => slots[slot as usize] > q.feedback_stamp,
                                 };
-                            if !needs_refresh
-                                && q.nodes > free_cache.bound(epoch, cluster, &q.demand, matcher)
-                            {
-                                *stamp = epoch;
-                                continue;
+                            if !needs_refresh {
+                                matcher.prepare(&q.demand);
+                                if q.nodes
+                                    > cluster.free_nodes_satisfying_matched(&q.demand, matcher)
+                                {
+                                    *stamp = epoch;
+                                    continue;
+                                }
                             }
                             found = Some(hunt_from + off);
                             break;

@@ -97,12 +97,15 @@ pub struct RunCounters {
     pub estimator_bypassed: u64,
     /// Cluster membership changes applied.
     pub churn_events: u64,
-    /// Matchmaking mode only: allocation attempts that reached the
-    /// matchmaker (past the free-bound gate); zero in native mode.
+    /// Matchmaking mode only: allocator calls made for fresh queue
+    /// entries (entries whose recorded refusal still stands, and backfill
+    /// candidates with too few eligible free nodes, are skipped without
+    /// one); zero in native mode.
     pub match_attempts: u64,
-    /// Matchmaking mode only: matchmaker attempts the allocator refused
-    /// (the free bound over-approximated after an earlier start in the
-    /// same epoch).
+    /// Matchmaking mode only: the allocator calls of
+    /// [`RunCounters::match_attempts`] that were refused, too few free
+    /// nodes lying in pools the matcher accepts. Every other attempt
+    /// starts an execution.
     pub match_refusals: u64,
 }
 

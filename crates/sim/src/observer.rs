@@ -93,10 +93,12 @@ pub trait SimObserver: Send {
         let _ = (time, delta);
     }
 
-    /// Matchmaking mode only: the engine asked the matchmaker to place
-    /// `nodes` machines for `job`. Fires once per genuine allocation
-    /// attempt — entries skipped by the availability fast paths never
-    /// reach the matchmaker and are not reported.
+    /// Matchmaking mode only: the engine asked the allocator to place
+    /// `nodes` machines for `job` through the matchmaker. Fires once per
+    /// allocator call, as counted by [`RunCounters::match_attempts`] —
+    /// entries whose recorded refusal still stands, and backfill
+    /// candidates with too few eligible free nodes, never reach the
+    /// allocator and are not reported.
     fn on_match_attempt(&mut self, time: Time, job: JobId, nodes: u32) {
         let _ = (time, job, nodes);
     }

@@ -422,10 +422,10 @@ fn matchmaking_cluster_ads() -> (resmatch_cluster::Cluster, Vec<resmatch_classad
 }
 
 /// Forwards the matching calls to `M` but vouches for nothing: no demand
-/// signature and no eligibility bitset. Runs through it take the engine's
-/// raw-demand memo keys and the cluster's per-pool `matches` walks with a
-/// matcher that really constrains — paths [`MatchAll`] reaches only
-/// while constraining nothing.
+/// signature and no eligibility bitset. Runs through it take the cluster's
+/// per-pool `matches` walks, the counting path without a bitset, with a
+/// matcher that really constrains — a path [`MatchAll`] reaches only while
+/// constraining nothing.
 struct NoClaims<M>(M);
 
 impl<M: PoolMatcher> PoolMatcher for NoClaims<M> {
@@ -447,9 +447,12 @@ impl<M: PoolMatcher> PoolMatcher for NoClaims<M> {
 }
 
 /// Run a matchmaking bench scenario through the matchmaker and through
-/// [`NoClaims`] around it, and pin both runs to the same digest: the
-/// signature-keyed memos must be invisible in the output. `churn` adds
-/// [`churn_schedule`] over the workload's span.
+/// [`NoClaims`] around it, and pin both runs to the same digest and the
+/// same counters: what a matcher vouches for may make counting cheaper but
+/// must not move an outcome or an allocator call. Every start is an
+/// allocator call that was granted, so `started` is `match_attempts −
+/// match_refusals`. `churn` adds [`churn_schedule`] over the workload's
+/// span.
 fn check_matchmaking_pinned(
     name: &str,
     expected: u64,
@@ -463,7 +466,7 @@ fn check_matchmaking_pinned(
     } else {
         Vec::new()
     };
-    for no_claims in [false, true] {
+    let counters = [false, true].map(|no_claims| {
         let (cluster, ads) = matchmaking_cluster_ads();
         let mut mm = resmatch_classad::Matchmaker::new(&ads);
         if let Some(rank) = rank {
@@ -484,7 +487,22 @@ fn check_matchmaking_pinned(
             name.to_string()
         };
         check_pinned(&label, expected, &r);
-    }
+        let c = r.counters;
+        assert!(
+            c.match_attempts > 0,
+            "{label}: no allocation reached the matcher"
+        );
+        assert_eq!(
+            c.started,
+            c.match_attempts - c.match_refusals,
+            "{label}: every start is a granted allocator call"
+        );
+        c
+    });
+    assert_eq!(
+        counters[0], counters[1],
+        "{name}: the matcher's claims moved the run counters"
+    );
 }
 
 /// Pinned digest of the `matchmaking_fcfs_successive` bench scenario.
