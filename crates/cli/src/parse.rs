@@ -7,7 +7,7 @@ use resmatch_sim::EstimatorSpec;
 use crate::{CliError, CliResult};
 
 /// Parse a memory size: a plain number is KB; `M`/`m` suffix means MB,
-/// `G`/`g` GB.
+/// `G`/`g` GB. A size whose KB value overflows `u64` is an error.
 pub fn parse_mem_kb(raw: &str) -> CliResult<u64> {
     let raw = raw.trim();
     let (digits, factor) = match raw.chars().last() {
@@ -18,7 +18,9 @@ pub fn parse_mem_kb(raw: &str) -> CliResult<u64> {
     let value: u64 = digits
         .parse()
         .map_err(|_| CliError::new(format!("bad memory size {raw:?}")))?;
-    Ok(value * factor)
+    value
+        .checked_mul(factor)
+        .ok_or_else(|| CliError::new(format!("memory size {raw:?} exceeds u64::MAX KB")))
 }
 
 /// Parse a cluster layout: comma-separated `COUNTxMEM` pools, e.g.
@@ -40,11 +42,14 @@ pub fn parse_cluster(raw: &str) -> CliResult<Cluster> {
 /// - `arch=NAME` — architecture tag advertised as the `Arch` ClassAd
 ///   attribute (default untagged).
 ///
+/// The node counts may sum to at most `u32::MAX`.
+///
 /// The returned [`PoolAd`] list is index-aligned with the cluster's
 /// pools, ready for [`resmatch_classad::Matchmaker::new`].
 pub fn parse_cluster_ads(raw: &str) -> CliResult<(Cluster, Vec<PoolAd>)> {
     let mut builder = ClusterBuilder::new();
     let mut ads = Vec::new();
+    let mut total: u32 = 0;
     for pool in raw.split(',') {
         let mut parts = pool.split(':');
         let head = parts.next().unwrap_or("");
@@ -58,6 +63,12 @@ pub fn parse_cluster_ads(raw: &str) -> CliResult<(Cluster, Vec<PoolAd>)> {
         if count == 0 {
             return Err(CliError::new(format!("pool {pool:?} has zero nodes")));
         }
+        total = total.checked_add(count).ok_or_else(|| {
+            CliError::new(format!(
+                "cluster layout {raw:?} has more than {} nodes",
+                u32::MAX
+            ))
+        })?;
         let mem_kb = parse_mem_kb(mem)?;
         // Unspecified attributes advertise no constraint, matching
         // `Capacity::memory`: unbounded disk, every package installed.
@@ -141,6 +152,13 @@ mod tests {
         assert_eq!(parse_mem_kb("2G").unwrap(), 2 * 1024 * 1024);
         assert!(parse_mem_kb("abc").is_err());
         assert!(parse_mem_kb("12.5M").is_err());
+        // 2^44 GB is 2^64 KB: one past u64::MAX.
+        assert!(parse_mem_kb("17592186044416G").is_err());
+        assert!(parse_mem_kb("17592186044417G").is_err());
+        assert_eq!(
+            parse_mem_kb("17592186044415G").unwrap(),
+            17_592_186_044_415 * 1024 * 1024
+        );
     }
 
     #[test]
@@ -158,6 +176,15 @@ mod tests {
         assert!(parse_cluster("0x32M").is_err());
         assert!(parse_cluster("ax32M").is_err());
         assert!(parse_cluster("512xbogus").is_err());
+        // Node totals past u32::MAX and sizes past u64::MAX KB are usage
+        // errors, not a wrapped cluster.
+        assert!(parse_cluster("4294967295x32M,2x24M").is_err());
+        assert_eq!(
+            parse_cluster("4294967294x32M,1x24M").unwrap().total_nodes(),
+            u32::MAX
+        );
+        assert!(parse_cluster("4x17592186044416G,4x24M").is_err());
+        assert!(parse_cluster("1024x17592186044417G").is_err());
     }
 
     #[test]

@@ -43,7 +43,8 @@ impl ClusterBuilder {
     /// Finish.
     ///
     /// # Panics
-    /// Panics when no nodes were added.
+    /// Panics when no nodes were added or their counts sum past
+    /// `u32::MAX` (see [`Cluster::from_pools`]).
     pub fn build(self) -> Cluster {
         Cluster::from_pools(&self.specs)
     }

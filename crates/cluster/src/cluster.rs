@@ -146,9 +146,14 @@ impl Cluster {
     /// [`crate::builder::ClusterBuilder`].
     ///
     /// # Panics
-    /// Panics when no nodes are specified or pool count exceeds `u16` pools.
+    /// Panics when no nodes are specified, when the node counts sum past
+    /// `u32::MAX`, or when pool count exceeds `u16` pools.
     pub fn from_pools(specs: &[(u32, Capacity)]) -> Self {
-        let total: u32 = specs.iter().map(|(n, _)| n).sum();
+        let total = specs
+            .iter()
+            .try_fold(0u32, |sum, &(n, _)| sum.checked_add(n));
+        assert!(total.is_some(), "a cluster holds at most u32::MAX nodes");
+        let total = total.unwrap_or_default();
         assert!(total > 0, "a cluster needs at least one node");
         assert!(u16::try_from(specs.len()).is_ok(), "too many pools");
         let pools: Vec<Pool> = specs
@@ -729,6 +734,15 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn empty_cluster_rejected() {
         let _ = Cluster::from_pools(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX nodes")]
+    fn node_total_past_u32_rejected() {
+        let _ = Cluster::from_pools(&[
+            (u32::MAX, Capacity::memory(32 * 1024)),
+            (2, Capacity::memory(24 * 1024)),
+        ]);
     }
 
     use crate::matchmaking::MatchAll;

@@ -1278,7 +1278,7 @@ impl Simulation {
     // Kept out of line, as it was before the event loop became generic
     // over the matcher: a generic fn with a single caller gets inlined
     // into the loop, and there the backfill hunt ran ~5% slower on
-    // saturated EASY traces.
+    // saturated EASY traces. CI checks the release binary's symbols.
     #[inline(never)]
     fn schedule<M: PoolMatcher + ?Sized>(
         &mut self,
