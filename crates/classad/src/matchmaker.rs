@@ -30,11 +30,10 @@
 //!    vector read; when a verdict input reads the raw job row (fallback
 //!    interpretation, job-reading constraints/ranks) interning falls
 //!    back to one signature per raw demand. [`PoolMatcher::matches`] is
-//!    a bit test, the allocator's counting walks read the whole row at
-//!    once via [`PoolMatcher::eligible_pools`], and
-//!    [`PoolMatcher::demand_signature`] vouches for the interned id so
-//!    engine-side caches (free-bound memo, eligible-count epoch) can key
-//!    on it across whole verdict classes.
+//!    a bit test, and the allocator's counting walks read the whole row
+//!    at once via [`PoolMatcher::eligible_pools`].
+//!    [`PoolMatcher::demand_signature`] still publishes the interned id;
+//!    the simulator keys no cache on it.
 //!
 //! Matching semantics are unchanged and Condor-symmetric, exactly
 //! [`crate::ad::matches`]: the job program, the optional operator

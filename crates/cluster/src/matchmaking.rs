@@ -14,11 +14,10 @@
 //!
 //! Contract: a matcher's verdicts must be a pure function of the demand it
 //! was last [`PoolMatcher::prepare`]d with and of the pool's (fixed)
-//! capability ad. The allocator pre-gates on matched free counts, and the
-//! simulator caches free-count bounds and refusals keyed by the demand's
-//! [`PoolMatcher::demand_signature`] when the matcher vouches for one, else
-//! by the demand itself; verdicts that drift between calls for the same
-//! key would invalidate both.
+//! capability ad. The simulator replays a refused allocation until an
+//! execution ends or membership changes, and reuses EASY's shadow
+//! crossing while the running set stands still; verdicts that drift
+//! between calls for the same demand would invalidate both.
 //!
 //! Every allocation goes through a matcher: the simulator's native mode is
 //! the [`MatchAll`] instance of the matched path.
@@ -65,12 +64,12 @@ pub trait PoolMatcher: Send {
     /// demands that prepare to the same `s` have identical per-pool
     /// outcomes of `matches(pool) && capacity.satisfies(demand)` *and*
     /// identical rank values — the full predicate the allocator applies —
-    /// so memo layers (eligible-count epochs, free-bound caches) may key
-    /// cached state by the signature alone, collapsing distinct raw
-    /// demands that the matcher proves equivalent. `None` (the default)
-    /// makes no claim; memo layers must fall back to comparing demands.
-    /// Within one matcher lifetime a signature, once handed out, always
-    /// denotes the same verdict class.
+    /// so a cache may key state by the signature alone, collapsing
+    /// distinct raw demands that the matcher proves equivalent. `None`
+    /// (the default) makes no claim. Within one matcher lifetime a
+    /// signature, once handed out, always denotes the same verdict class.
+    /// The simulator does not read it: with count-only pools every count
+    /// it needs costs no more than a probe of such a cache.
     fn demand_signature(&self) -> Option<u64> {
         None
     }

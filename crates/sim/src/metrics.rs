@@ -103,9 +103,9 @@ pub struct RunCounters {
     /// one); zero in native mode.
     pub match_attempts: u64,
     /// Matchmaking mode only: the allocator calls of
-    /// [`RunCounters::match_attempts`] that were refused, too few free
-    /// nodes lying in pools the matcher accepts. Every other attempt
-    /// starts an execution.
+    /// [`RunCounters::match_attempts`] that were refused for too few free
+    /// nodes in eligible pools (capacity satisfies the demand and the
+    /// matcher accepts). Every other attempt starts an execution.
     pub match_refusals: u64,
 }
 

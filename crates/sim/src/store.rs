@@ -221,8 +221,8 @@ impl RunTable {
         }
     }
 
-    /// The live allocation under `run_id` — the one column the EASY
-    /// eligible-count closure reads.
+    /// The live allocation under `run_id` — the one column EASY's
+    /// shadow-crossing walk reads.
     #[inline]
     #[expect(
         clippy::expect_used,

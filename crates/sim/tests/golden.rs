@@ -683,9 +683,9 @@ fn golden_fcfs_successive_churn_with_trace() {
 }
 
 /// Pinned digest of EASY backfill + successive estimation under the churn
-/// schedule: membership changes bump the structural epoch, the key the
-/// shadow cache shares with every other engine memo, so this pins the
-/// reservation path across capacity changes.
+/// schedule: membership changes bump the structural epoch, which keys
+/// both the shadow cache and every queued estimate's refresh, so this
+/// pins the reservation path across capacity changes.
 #[test]
 fn golden_easy_successive_churn_hash_pinned() {
     let w = base_workload();
