@@ -2,7 +2,6 @@
 //!
 //! Each module exposes `run(&RunSpec) -> ExperimentOutput` plus the
 //! `EXPECTATIONS` that gate it; [`crate::manifest`] registers them all.
-//! The `crates/bench` binaries are thin wrappers printing these reports.
 
 pub mod ablation_alpha_beta;
 pub mod ablation_churn;

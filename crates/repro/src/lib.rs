@@ -18,9 +18,9 @@
 //!   checks saw.
 //!
 //! The `resmatch-repro` binary exposes this as `run` / `check` / `render`
-//! / `list`; the historic `crates/bench` binaries are thin wrappers over
-//! [`experiments`]. See DESIGN.md §10 for the pipeline's design notes and
-//! the recipe for adding an experiment.
+//! / `list`, the one entry point to the experiments. See DESIGN.md §10
+//! for the pipeline's design notes and the recipe for adding an
+//! experiment.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -16,8 +16,8 @@ use crate::runner::RunSpec;
 /// One registered experiment.
 #[derive(Clone, Copy)]
 pub struct ExperimentDef {
-    /// Stable identifier: the `results/<id>.txt` stem and the historic
-    /// binary name in `crates/bench/src/bin`.
+    /// Stable identifier: the `results/<id>.txt` stem and the name
+    /// `run --only` / `check --only` select by.
     pub id: &'static str,
     /// Which paper artifact this reproduces ("Figure 1", "Table 1", …).
     pub artifact: &'static str,

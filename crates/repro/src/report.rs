@@ -2,8 +2,8 @@
 //! scalar metrics.
 //!
 //! Every experiment in [`crate::manifest`] produces both artifacts from a
-//! single run: the `text` is what the thin `crates/bench` binaries print
-//! and what `render` commits under `results/`, and the `metrics` are what
+//! single run: the `text` is what `resmatch-repro run` prints and what
+//! `render` commits under `results/`, and the `metrics` are what
 //! [`crate::expect`] gates and what the EXPERIMENTS.md tables are rendered
 //! from. Keeping them in one value is the point of the pipeline — the
 //! document can never show numbers the checks did not see.

@@ -20,11 +20,6 @@ pub fn paper_trace(jobs: usize, seed: u64) -> Workload {
     trace
 }
 
-/// The full-scale paper trace (122,055 jobs before preprocessing).
-pub fn full_paper_trace(seed: u64) -> Workload {
-    paper_trace(122_055, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,46 +13,70 @@
 //!
 //! It then holds the same line on every per-event path the engine has:
 //! FCFS, EASY and SJF with the paper's successive estimator, each run
-//! natively and through a fresh ClassAd `Matchmaker` on the split
-//! capability-ad cluster, over attribute-enriched traces of two sizes.
+//! natively, through a fresh ClassAd `Matchmaker` on the split
+//! capability-ad cluster, and through one ranked best-fit by memory (the
+//! candidate-sort path), over attribute-enriched traces of two sizes.
 //! The third run of each configuration on one arena must stay under a
 //! stated budget at both sizes. A per-event allocation anywhere on those
-//! paths (queue, release table, EASY hunt, matcher `prepare`) grows with
-//! the trace and fails this.
+//! paths (queue, release table, EASY hunt, matcher `prepare`, candidate
+//! sort) grows with the trace and fails this.
 //!
-//! One `#[test]` only: the counter is process-wide, so a second test on
+//! Last, a cold streamed run with record retention off must peak within a
+//! fixed heap bound above what was live before it, at two stream lengths
+//! 16x apart: the engine's footprint is queue depth plus running
+//! concurrency, not the stream's length.
+//!
+//! One `#[test]` only: the counters are process-wide, so a second test on
 //! another thread would leak its allocations into these counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use resmatch_classad::{Matchmaker, PoolAd};
-use resmatch_cluster::builder::paper_cluster;
+use resmatch_cluster::builder::{cm5_cluster, paper_cluster};
 use resmatch_cluster::{Capacity, Cluster, ClusterBuilder};
 use resmatch_sim::prelude::*;
 use resmatch_workload::attrs::{synthesize_attributes, AttrConfig};
 use resmatch_workload::load::{scale_to_load, scale_to_load_into};
-use resmatch_workload::synthetic::{generate, Cm5Config};
+use resmatch_workload::synthetic::{generate, stress_stream, Cm5Config};
 use resmatch_workload::Workload;
 
-/// Counts allocation *events* (alloc + realloc). Deallocation is free-list
-/// recycling's whole point, so it is not counted.
+/// Counts allocation *events* (alloc + realloc) and tracks live and peak
+/// live bytes. Deallocation is free-list recycling's whole point, so it is
+/// not an event; it only lowers the live count.
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters only read sizes.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        shrink(layout.size());
+        grow(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -129,11 +153,20 @@ fn enriched_trace(jobs: usize, cluster: &Cluster) -> Workload {
     w
 }
 
+/// How a run allocates: natively, through a first-fit matchmaker, or
+/// through one ranked best-fit by memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Native,
+    Matched,
+    Ranked,
+}
+
 /// Run one configuration three times on one arena, each run with a fresh
-/// simulation (and, when `matched`, a fresh matchmaker), and return the
+/// simulation (and, unless native, a fresh matchmaker), and return the
 /// allocation counts of the first and the third run. Only the run itself
 /// is counted, not building the simulation or the matcher.
-fn arena_run_allocs(w: &Workload, policy: SchedulingPolicy, matched: bool) -> (u64, u64) {
+fn arena_run_allocs(w: &Workload, policy: SchedulingPolicy, mode: Mode) -> (u64, u64) {
     let (cluster, ads) = capability_cluster();
     let cfg = SimConfig::default()
         .with_scheduling(policy)
@@ -142,8 +175,15 @@ fn arena_run_allocs(w: &Workload, policy: SchedulingPolicy, matched: bool) -> (u
     let mut counts = Vec::new();
     for _ in 0..3 {
         let mut sim = Simulation::new(cfg, cluster.clone(), EstimatorSpec::paper_successive());
-        if matched {
-            sim = sim.with_matchmaking(Box::new(Matchmaker::new(&ads)));
+        match mode {
+            Mode::Native => {}
+            Mode::Matched => sim = sim.with_matchmaking(Box::new(Matchmaker::new(&ads))),
+            Mode::Ranked => {
+                let mm = Matchmaker::new(&ads)
+                    .with_rank("other.Memory")
+                    .expect("static rank expression");
+                sim = sim.with_matchmaking(Box::new(mm));
+            }
         }
         let before = ALLOC_EVENTS.load(Ordering::Relaxed);
         let result = sim.run_with_arena(w, &mut arena);
@@ -178,12 +218,13 @@ fn warm_sweep_points_allocate_a_job_count_independent_constant() {
         "expected the cold first point to dominate warm points: {cold_small:?}"
     );
 
-    // Warm runs of every policy, native and matched. Native runs pay the
-    // per-run scaffolding plus the estimator's group table; matched runs
-    // add the fresh matcher's per-signature tables, which are bounded by
-    // the verdict classes, not by the trace. Measured on x86-64 Linux:
-    // 9-12 native and 17-23 matched at both sizes, in debug and release
-    // builds alike; one allocation per event would cost thousands.
+    // Warm runs of every policy, native, matched and ranked. Native runs
+    // pay the per-run scaffolding plus the estimator's group table; matched
+    // and ranked runs add the fresh matcher's per-signature tables, which
+    // are bounded by the verdict classes, not by the trace. Measured on
+    // x86-64 Linux: 9-12 native and 17-23 matched or ranked at both sizes,
+    // in debug and release builds alike; one allocation per event would
+    // cost thousands.
     const NATIVE_BUDGET: u64 = 32;
     const MATCHED_BUDGET: u64 = 48;
     let (cluster, _) = capability_cluster();
@@ -195,16 +236,16 @@ fn warm_sweep_points_allocate_a_job_count_independent_constant() {
         SchedulingPolicy::EasyBackfill,
         SchedulingPolicy::Sjf,
     ] {
-        for matched in [false, true] {
-            let budget = if matched {
-                MATCHED_BUDGET
-            } else {
+        for mode in [Mode::Native, Mode::Matched, Mode::Ranked] {
+            let budget = if mode == Mode::Native {
                 NATIVE_BUDGET
+            } else {
+                MATCHED_BUDGET
             };
-            let (cold, warm_small) = arena_run_allocs(&small, policy, matched);
-            let (_, warm_large) = arena_run_allocs(&large, policy, matched);
+            let (cold, warm_small) = arena_run_allocs(&small, policy, mode);
+            let (_, warm_large) = arena_run_allocs(&large, policy, mode);
             report.push(format!(
-                "{policy:?} matched={matched}: cold {cold}, warm {warm_small} (1k) / {warm_large} (4k), budget {budget}"
+                "{policy:?} {mode:?}: cold {cold}, warm {warm_small} (1k) / {warm_large} (4k), budget {budget}"
             ));
             assert!(
                 warm_small <= budget && warm_large <= budget,
@@ -212,6 +253,36 @@ fn warm_sweep_points_allocate_a_job_count_independent_constant() {
                 report.join("\n")
             );
         }
+    }
+
+    // A cold streamed run, records off, on the homogeneous CM-5: its peak
+    // above the heap live before it must not grow with the stream. On the
+    // split paper cluster pass-through would confine the over-provisioned
+    // requests to the 32 MB half, the effective load would exceed 1, and
+    // the queue, not the engine, would grow without bound. Measured on
+    // x86-64 Linux: 284,578 B at 20k jobs and 334,786 B at 320k, in debug
+    // and release builds alike; retaining the records alone adds about
+    // 64 B per job, 1.3 MB at 20k.
+    const STREAM_HEAP_BUDGET: u64 = 512 * 1024;
+    let cfg = SimConfig::default().with_retain_records(false);
+    for jobs in [20_000, 320_000] {
+        let live = LIVE_BYTES.load(Ordering::Relaxed);
+        PEAK_BYTES.store(live, Ordering::Relaxed);
+        let result = Simulation::new(cfg, cm5_cluster(), EstimatorSpec::PassThrough)
+            .run_stream(stress_stream(jobs, 42));
+        let peak = PEAK_BYTES.load(Ordering::Relaxed) - live;
+        assert_eq!(
+            result.completed_jobs as u64, jobs,
+            "sanity: the stream ran to completion"
+        );
+        report.push(format!(
+            "stream {jobs} jobs: peak {peak} B above live, budget {STREAM_HEAP_BUDGET}"
+        ));
+        assert!(
+            peak < STREAM_HEAP_BUDGET,
+            "a streamed run's peak heap must not grow with the stream:\n{}",
+            report.join("\n")
+        );
     }
     eprintln!("{}", report.join("\n"));
 }

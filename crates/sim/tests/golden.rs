@@ -313,38 +313,58 @@ fn trace_workload() -> Workload {
     w
 }
 
-/// Pinned digest of the full 122,055-job trace under FCFS + the paper's
-/// successive estimator. Trace-scale digests are release-only: the
-/// debug-build EASY cross-check and slot asserts make a 122k-job run take
-/// minutes, and CI exercises these with `cargo test --release`.
+/// Pin the full trace under `policy` twice: with the paper's successive
+/// estimator and with pass-through, the no-estimation baseline. The digest
+/// covers `completed_jobs` and `events_processed`, so it also holds every
+/// job to completion.
+fn check_trace_pinned(name: &str, policy: SchedulingPolicy, successive: u64, pass_through: u64) {
+    let w = trace_workload();
+    let cfg = SimConfig::default().with_scheduling(policy);
+    let r = run(cfg, EstimatorSpec::paper_successive(), &w);
+    check_pinned(&format!("trace_{name}_successive"), successive, &r);
+    let r = run(cfg, EstimatorSpec::PassThrough, &w);
+    check_pinned(&format!("trace_{name}_pass_through"), pass_through, &r);
+}
+
+/// Pinned digests of the full 122,055-job trace under FCFS. Trace-scale
+/// digests are release-only: the debug-build EASY cross-check and slot
+/// asserts make a 122k-job run take minutes, and CI exercises these with
+/// `cargo test --release`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "trace-scale: run under --release")]
 fn golden_trace_fcfs_successive_hash_pinned() {
-    let w = trace_workload();
-    let r = run(SimConfig::default(), EstimatorSpec::paper_successive(), &w);
-    check_pinned("trace_fcfs_successive", 0xdf1e_4942_0b10_fda7, &r);
+    check_trace_pinned(
+        "fcfs",
+        SchedulingPolicy::Fcfs,
+        0xdf1e_4942_0b10_fda7,
+        0x7775_22e9_baaf_346f,
+    );
 }
 
-/// Pinned digest of the full trace under SJF + successive estimation.
+/// Pinned digests of the full trace under SJF.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "trace-scale: run under --release")]
 fn golden_trace_sjf_successive_hash_pinned() {
-    let w = trace_workload();
-    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::Sjf);
-    let r = run(cfg, EstimatorSpec::paper_successive(), &w);
-    check_pinned("trace_sjf_successive", 0x9efb_45c1_ecc9_8ee1, &r);
+    check_trace_pinned(
+        "sjf",
+        SchedulingPolicy::Sjf,
+        0x9efb_45c1_ecc9_8ee1,
+        0xbf1f_1fcd_f79a_fffe,
+    );
 }
 
-/// Pinned digest of the full trace under EASY backfill + successive
-/// estimation — the configuration the ≥2M events/sec throughput target is
-/// quoted for, so the fast path and the correct path are pinned together.
+/// Pinned digests of the full trace under EASY backfill — the
+/// configuration the ≥2M events/sec throughput target is quoted for, so
+/// the fast path and the correct path are pinned together.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "trace-scale: run under --release")]
 fn golden_trace_easy_successive_hash_pinned() {
-    let w = trace_workload();
-    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
-    let r = run(cfg, EstimatorSpec::paper_successive(), &w);
-    check_pinned("trace_easy_successive", 0x1706_9e7d_e28c_d27f, &r);
+    check_trace_pinned(
+        "easy",
+        SchedulingPolicy::EasyBackfill,
+        0x1706_9e7d_e28c_d27f,
+        0x7d92_6f4e_0e40_3f6d,
+    );
 }
 
 /// The matchmaking seam must be invisible when the matcher constrains
@@ -389,12 +409,12 @@ fn golden_matchall_explicit_feedback_is_byte_identical() {
     check("fcfs_successive_explicit", &r);
 }
 
-/// The matchmaking bench workload and cluster, byte-for-byte the
-/// `matchmaking_tier` configuration in `bench_report` at its default
-/// scale: the 5,000-job trace rescaled to saturating load and enriched
-/// with synthetic disk/package attributes, allocated over a split cluster
-/// whose 32 MB half carries a finite scratch partition, the licensed
-/// package set, and an `Arch` tag.
+/// The matchmaking workload and cluster: the 5,000-job trace rescaled to
+/// saturating load and enriched with synthetic disk/package attributes,
+/// allocated over a split cluster whose 32 MB half carries a finite
+/// scratch partition, the licensed package set, and an `Arch` tag.
+/// perfbench's `matched_easy` builds the same trace and cluster, and at
+/// seed 42 checks the EASY digest pinned below (`0xfc7e_a838_e815_29e6`).
 fn matchmaking_workload() -> Workload {
     use resmatch_workload::attrs::{synthesize_attributes, AttrConfig};
     let cfg = Cm5Config {
@@ -446,7 +466,7 @@ impl<M: PoolMatcher> PoolMatcher for NoClaims<M> {
     }
 }
 
-/// Run a matchmaking bench scenario through the matchmaker and through
+/// Run a matchmaking scenario through the matchmaker and through
 /// [`NoClaims`] around it, and pin both runs to the same digest and the
 /// same counters: what a matcher vouches for may make counting cheaper but
 /// must not move an outcome or an allocator call. Every start is an
@@ -505,7 +525,7 @@ fn check_matchmaking_pinned(
     );
 }
 
-/// Pinned digest of the `matchmaking_fcfs_successive` bench scenario.
+/// Pinned digest of the `matchmaking_fcfs_successive` scenario.
 /// All four matchmaking digests were pinned *before* the indexed
 /// eligibility / program-specialization rework of the matchmaker's hot
 /// path, so the speedup is machine-checked byte-identical to the
@@ -522,7 +542,7 @@ fn golden_matchmaking_fcfs_successive_hash_pinned() {
     );
 }
 
-/// Pinned digest of the `matchmaking_sjf_successive` bench scenario.
+/// Pinned digest of the `matchmaking_sjf_successive` scenario.
 #[test]
 fn golden_matchmaking_sjf_successive_hash_pinned() {
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::Sjf);
@@ -535,7 +555,7 @@ fn golden_matchmaking_sjf_successive_hash_pinned() {
     );
 }
 
-/// Pinned digest of the `matchmaking_easy_successive` bench scenario —
+/// Pinned digest of the `matchmaking_easy_successive` scenario —
 /// the configuration whose shadow walks and backfill hunts hammer the
 /// matcher hardest, and the one the throughput work targets first.
 #[test]
@@ -550,7 +570,7 @@ fn golden_matchmaking_easy_successive_hash_pinned() {
     );
 }
 
-/// Pinned digest of the `matchmaking_fcfs_ranked` bench scenario: a
+/// Pinned digest of the `matchmaking_fcfs_ranked` scenario: a
 /// machine-side `Rank` turns first-fit into best-fit by memory, covering
 /// the candidate-sort path.
 #[test]
