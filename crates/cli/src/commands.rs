@@ -18,7 +18,7 @@ use resmatch_workload::synthetic::{generate, service_stream, Cm5Config};
 use resmatch_workload::Workload;
 
 use crate::args::{ArgSpec, Args};
-use crate::parse::{parse_cluster, parse_cluster_ads, parse_estimator, parse_loads};
+use crate::parse::{parse_cluster, parse_cluster_ads, parse_loads};
 use crate::{CliError, CliResult};
 
 /// Load a trace: positional SWF path, or `--synthetic N` jobs.
@@ -57,6 +57,14 @@ fn cluster_from(args: &Args) -> CliResult<Cluster> {
 /// Cluster plus index-aligned capability ads, for matchmaking mode.
 fn cluster_ads_from(args: &Args) -> CliResult<(Cluster, Vec<PoolAd>)> {
     parse_cluster_ads(args.get("cluster").unwrap_or(DEFAULT_CLUSTER))
+}
+
+/// `--estimator` in [`EstimatorSpec`]'s `name[:alpha[,beta]]` grammar.
+fn estimator_from(args: &Args) -> CliResult<EstimatorSpec> {
+    args.get("estimator")
+        .unwrap_or("successive")
+        .parse()
+        .map_err(|e| CliError::new(format!("{e}")))
 }
 
 /// Build the `--matchmaking` layer: pool ads from the cluster spec, plus
@@ -178,7 +186,7 @@ pub fn cmd_analyze(tokens: Vec<String>) -> CliResult<String> {
 }
 
 /// `resmatch simulate [trace | --synthetic N] --cluster L --estimator E
-///  [--load X] [--policy P] [--alpha A] [--beta B] [--explicit]
+///  [--load X] [--policy P] [--explicit]
 ///  [--matchmaking] [--constrain EXPR] [--rank EXPR] [--attrs]`
 pub fn cmd_simulate(tokens: Vec<String>) -> CliResult<String> {
     use std::fmt::Write as _;
@@ -189,8 +197,6 @@ pub fn cmd_simulate(tokens: Vec<String>) -> CliResult<String> {
         .value("estimator")
         .value("load")
         .value("policy")
-        .value("alpha")
-        .value("beta")
         .value("sim-seed")
         .switch("explicit")
         .switch("matchmaking")
@@ -207,9 +213,7 @@ pub fn cmd_simulate(tokens: Vec<String>) -> CliResult<String> {
     let seed: u64 = args.get_parsed("seed", 42)?;
     let trace = load_trace(&args, seed)?;
     let (cluster, ads) = cluster_ads_from(&args)?;
-    let alpha: f64 = args.get_parsed("alpha", 2.0)?;
-    let beta: f64 = args.get_parsed("beta", 0.0)?;
-    let spec = parse_estimator(args.get("estimator").unwrap_or("successive"), alpha, beta)?;
+    let spec = estimator_from(&args)?;
     let cfg = sim_config(&args)?;
     let load: f64 = args.get_parsed("load", 0.0)?;
     let mut trace = if load > 0.0 {
@@ -268,8 +272,6 @@ pub fn cmd_sweep(tokens: Vec<String>) -> CliResult<String> {
         .value("estimator")
         .value("loads")
         .value("policy")
-        .value("alpha")
-        .value("beta")
         .value("sim-seed")
         .value("csv")
         .switch("explicit")
@@ -278,9 +280,7 @@ pub fn cmd_sweep(tokens: Vec<String>) -> CliResult<String> {
     let seed: u64 = args.get_parsed("seed", 42)?;
     let trace = load_trace(&args, seed)?;
     let cluster = cluster_from(&args)?;
-    let alpha: f64 = args.get_parsed("alpha", 2.0)?;
-    let beta: f64 = args.get_parsed("beta", 0.0)?;
-    let spec = parse_estimator(args.get("estimator").unwrap_or("successive"), alpha, beta)?;
+    let spec = estimator_from(&args)?;
     let loads = parse_loads(args.get("loads").unwrap_or("0.2,0.4,0.6,0.8,1.0,1.2"))?;
     let sweep = SweepConfig::default()
         .with_sim(sim_config(&args)?)
@@ -316,8 +316,6 @@ pub fn cmd_serve(tokens: Vec<String>) -> CliResult<String> {
         .value("shards")
         .value("batch")
         .value("estimator")
-        .value("alpha")
-        .value("beta")
         .value("seed")
         .value("cluster")
         .value("snapshot-out")
@@ -330,9 +328,7 @@ pub fn cmd_serve(tokens: Vec<String>) -> CliResult<String> {
     let shards: usize = args.get_parsed("shards", 8usize)?;
     let batch: usize = args.get_parsed("batch", 1024usize)?;
     let seed: u64 = args.get_parsed("seed", 42u64)?;
-    let alpha: f64 = args.get_parsed("alpha", 2.0)?;
-    let beta: f64 = args.get_parsed("beta", 0.0)?;
-    let spec = parse_estimator(args.get("estimator").unwrap_or("successive"), alpha, beta)?;
+    let spec = estimator_from(&args)?;
     let ladder = cluster_from(&args)?.memory_ladder();
     let cfg = ServiceConfig::new(spec, ladder.clone())
         .shards(shards)
@@ -421,14 +417,20 @@ pub fn cmd_snapshot(tokens: Vec<String>) -> CliResult<String> {
 
 /// Usage text.
 pub fn usage() -> String {
-    "resmatch — resource matching with estimation of actual job requirements\n\
+    let estimators = EstimatorSpec::NAMES
+        .chunks(5)
+        .map(|names| names.join(", "))
+        .collect::<Vec<_>>()
+        .join(",\n            ");
+    format!(
+        "resmatch — resource matching with estimation of actual job requirements\n\
      \n\
      USAGE:\n\
      resmatch generate --jobs N [--seed S] [--diurnal A] [--out trace.swf]\n\
      resmatch analyze  [trace.swf | --synthetic N] [--seed S]\n\
      resmatch simulate [trace.swf | --synthetic N] [--cluster 512x32M,512x24M]\n\
      \x20                [--estimator NAME] [--load X] [--policy fcfs|sjf|easy]\n\
-     \x20                [--alpha A] [--beta B] [--explicit]\n\
+     \x20                [--explicit]\n\
      \x20                [--matchmaking] [--constrain EXPR] [--rank EXPR] [--attrs]\n\
      resmatch sweep    [trace.swf | --synthetic N] [--loads 0.2,0.4,...]\n\
      \x20                [--cluster ...] [--estimator NAME] [--csv out.csv]\n\
@@ -438,9 +440,9 @@ pub fn usage() -> String {
      \x20                [--snapshot-out state.rsnp]\n\
      resmatch snapshot info <file.rsnp>\n\
      \n\
-     Estimators: pass-through, oracle, successive, last-instance, regression,\n\
-     \x20           reinforcement, robust, multi-resource, per-resource,\n\
-     \x20           quantile, adaptive, warm-start\n\
+     Estimators: {estimators}\n\
+     Algorithm 1's estimators take NAME:ALPHA[,BETA] with ALPHA > 1 and\n\
+     0 <= BETA < 1 (BETA defaults to 0), e.g. --estimator successive:4,0.5.\n\
      \n\
      Cluster pools accept capability attributes for --matchmaking, e.g.\n\
      \x20 --cluster 512x32M:disk=2G:pkgs=3:arch=sparc,512x24M\n\
@@ -448,7 +450,7 @@ pub fn usage() -> String {
      --attrs synthesizes per-class disk requests and package masks on the\n\
      trace; --constrain/--rank take ClassAd expressions where my is the job\n\
      ad and other the machine ad, e.g. --rank \"other.Memory\".\n"
-        .to_string()
+    )
 }
 
 /// Dispatch a full command line (without the program name).
@@ -593,6 +595,24 @@ mod tests {
             .unwrap_err()
             .message
             .contains("unknown estimator"));
+        // Out-of-range α/β is a usage error, not a panic in the build.
+        for bad in ["successive:1", "successive:2,1", "per-resource:2,-0.5"] {
+            let err = cmd_simulate(toks(&format!("--synthetic 10 --estimator {bad}"))).unwrap_err();
+            assert!(
+                err.message.contains("alpha > 1 and 0 <= beta < 1"),
+                "{err:?}"
+            );
+        }
+        let err = cmd_serve(toks("--ops 100 --groups 10 --estimator adaptive:0.5")).unwrap_err();
+        assert!(
+            err.message.contains("alpha > 1 and 0 <= beta < 1"),
+            "{err:?}"
+        );
+        // The suffix is the one way to set α/β.
+        assert!(cmd_simulate(toks("--synthetic 10 --alpha 3"))
+            .unwrap_err()
+            .message
+            .contains("unknown flag --alpha"));
         assert!(cmd_simulate(toks("--synthetic 10 --policy bogus"))
             .unwrap_err()
             .message
@@ -612,7 +632,11 @@ mod tests {
 
     #[test]
     fn dispatch_routes_and_help() {
-        assert!(dispatch(toks("help")).unwrap().contains("USAGE"));
+        let help = dispatch(toks("help")).unwrap();
+        assert!(help.contains("USAGE"));
+        for name in EstimatorSpec::NAMES {
+            assert!(help.contains(name), "usage omits {name}");
+        }
         assert!(dispatch(Vec::new()).unwrap().contains("USAGE"));
         assert!(dispatch(toks("frobnicate"))
             .unwrap_err()

@@ -1,8 +1,7 @@
-//! Domain-value parsing: cluster layouts, estimator names, load lists.
+//! Domain-value parsing: memory sizes, cluster layouts, load lists.
 
 use resmatch_classad::PoolAd;
 use resmatch_cluster::{Capacity, Cluster, ClusterBuilder};
-use resmatch_sim::EstimatorSpec;
 
 use crate::{CliError, CliResult};
 
@@ -114,22 +113,6 @@ pub fn parse_cluster_ads(raw: &str) -> CliResult<(Cluster, Vec<PoolAd>)> {
     Ok((builder.build(), ads))
 }
 
-/// Estimator names accepted by `--estimator` — the canonical
-/// [`EstimatorSpec`] grammar names.
-pub const ESTIMATOR_NAMES: &[&str] = EstimatorSpec::NAMES;
-
-/// Parse an `--estimator` value through [`EstimatorSpec`]'s `FromStr`
-/// grammar (`name[:alpha[,beta]]`), honoring `--alpha`/`--beta` overrides
-/// for the successive family when the name itself carries no suffix.
-pub fn parse_estimator(name: &str, alpha: f64, beta: f64) -> CliResult<EstimatorSpec> {
-    let spec: EstimatorSpec = name.parse().map_err(|e| CliError::new(format!("{e}")))?;
-    Ok(if name.contains(':') {
-        spec
-    } else {
-        spec.with_alpha_beta(alpha, beta)
-    })
-}
-
 /// Parse a comma-separated load list, e.g. `0.2,0.4,0.8`.
 pub fn parse_loads(raw: &str) -> CliResult<Vec<f64>> {
     let loads: Result<Vec<f64>, _> = raw.split(',').map(|s| s.trim().parse::<f64>()).collect();
@@ -214,40 +197,6 @@ mod tests {
         assert!(parse_cluster_ads("4x32M:disk=bogus").is_err());
         assert!(parse_cluster_ads("4x32M:pkgs=zz").is_err());
         assert!(parse_cluster_ads("4x32M:frobs=1").is_err());
-    }
-
-    #[test]
-    fn estimator_names_all_parse() {
-        for name in ESTIMATOR_NAMES {
-            assert!(
-                parse_estimator(name, 2.0, 0.0).is_ok(),
-                "estimator {name} failed to parse"
-            );
-        }
-        assert!(parse_estimator("bogus", 2.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn estimator_honors_alpha_beta() {
-        match parse_estimator("successive", 4.0, 0.5).unwrap() {
-            EstimatorSpec::Successive(cfg) => {
-                assert_eq!(cfg.alpha, 4.0);
-                assert_eq!(cfg.beta, 0.5);
-            }
-            other => panic!("unexpected spec {other:?}"),
-        }
-    }
-
-    #[test]
-    fn estimator_suffix_wins_over_flags() {
-        match parse_estimator("successive:8,1", 2.0, 0.0).unwrap() {
-            EstimatorSpec::Successive(cfg) => {
-                assert_eq!(cfg.alpha, 8.0);
-                assert_eq!(cfg.beta, 1.0);
-            }
-            other => panic!("unexpected spec {other:?}"),
-        }
-        assert!(parse_estimator("oracle:2", 2.0, 0.0).is_err());
     }
 
     #[test]

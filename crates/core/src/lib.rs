@@ -21,8 +21,8 @@
 //! conventional scheduler does) and [`baseline::Oracle`] (perfect knowledge
 //! of actual usage — the upper bound). Extensions the paper sketches:
 //! [`robust::RobustBisection`] (direct-search refinement for heterogeneous
-//! groups, §2.3) and [`multi::MultiResourceEstimator`] (coordinate-wise
-//! multi-resource estimation, §2.3).
+//! groups, §2.3) and [`per_resource::PerResourceEstimator`] (Algorithm 1
+//! applied to memory and disk as separate channels, §2.3).
 //!
 //! # Quick example
 //!
@@ -64,13 +64,11 @@
 pub mod adaptive;
 pub mod baseline;
 pub mod last_instance;
-pub mod multi;
 pub mod per_resource;
 pub mod quantile;
 pub mod regression;
 pub mod reinforcement;
 pub mod robust;
-pub mod selector;
 pub mod similarity;
 pub mod snapshot;
 pub mod spec;
@@ -83,13 +81,11 @@ pub mod prelude {
     pub use crate::adaptive::{AdaptiveConfig, AdaptiveSimilarity};
     pub use crate::baseline::{Oracle, PassThrough};
     pub use crate::last_instance::{LastInstance, LastInstanceConfig};
-    pub use crate::multi::{MultiResourceConfig, MultiResourceEstimator};
     pub use crate::per_resource::{PerResourceConfig, PerResourceEstimator};
     pub use crate::quantile::{QuantileConfig, QuantileEstimator};
     pub use crate::regression::{RegressionConfig, RegressionEstimator};
     pub use crate::reinforcement::{ReinforcementConfig, ReinforcementEstimator};
     pub use crate::robust::{RobustBisection, RobustConfig};
-    pub use crate::selector::{EstimatorSelector, SelectorConfig};
     pub use crate::similarity::SimilarityPolicy;
     pub use crate::snapshot::{SnapshotError, SnapshotState};
     pub use crate::spec::{EstimatorSpec, ParseEstimatorError};

@@ -13,7 +13,6 @@ use resmatch_cluster::CapacityLadder;
 use crate::adaptive::{AdaptiveConfig, AdaptiveSimilarity};
 use crate::baseline::{Oracle, PassThrough};
 use crate::last_instance::{LastInstance, LastInstanceConfig};
-use crate::multi::{MultiResourceConfig, MultiResourceEstimator};
 use crate::per_resource::{PerResourceConfig, PerResourceEstimator};
 use crate::quantile::{QuantileConfig, QuantileEstimator};
 use crate::regression::{RegressionConfig, RegressionEstimator};
@@ -40,8 +39,6 @@ pub enum EstimatorSpec {
     Reinforcement(ReinforcementConfig),
     /// Robust direct-search bisection (§2.3 extension).
     Robust(RobustConfig),
-    /// Multi-resource coordinate descent (§2.3 extension).
-    MultiResource(MultiResourceConfig),
     /// Per-resource successive approximation: memory via Algorithm 1,
     /// disk via a parallel ladder-free channel (§2.3, matchmaking mode).
     PerResource(PerResourceConfig),
@@ -74,9 +71,6 @@ impl EstimatorSpec {
             EstimatorSpec::Regression(cfg) => Box::new(RegressionEstimator::new(cfg)),
             EstimatorSpec::Reinforcement(cfg) => Box::new(ReinforcementEstimator::new(cfg)),
             EstimatorSpec::Robust(cfg) => Box::new(RobustBisection::new(cfg)),
-            EstimatorSpec::MultiResource(cfg) => {
-                Box::new(MultiResourceEstimator::new(cfg, ladder.clone()))
-            }
             EstimatorSpec::PerResource(cfg) => {
                 Box::new(PerResourceEstimator::new(cfg, ladder.clone()))
             }
@@ -96,7 +90,6 @@ impl EstimatorSpec {
             EstimatorSpec::Regression(_) => "regression",
             EstimatorSpec::Reinforcement(_) => "reinforcement-learning",
             EstimatorSpec::Robust(_) => "robust-bisection",
-            EstimatorSpec::MultiResource(_) => "multi-resource",
             EstimatorSpec::PerResource(_) => "per-resource",
             EstimatorSpec::Quantile(_) => "quantile",
             EstimatorSpec::Adaptive(_) => "adaptive-similarity",
@@ -126,7 +119,6 @@ impl EstimatorSpec {
         "regression",
         "reinforcement",
         "robust",
-        "multi-resource",
         "per-resource",
         "quantile",
         "adaptive",
@@ -143,7 +135,6 @@ impl EstimatorSpec {
             EstimatorSpec::Regression(_) => "regression",
             EstimatorSpec::Reinforcement(_) => "reinforcement",
             EstimatorSpec::Robust(_) => "robust",
-            EstimatorSpec::MultiResource(_) => "multi-resource",
             EstimatorSpec::PerResource(_) => "per-resource",
             EstimatorSpec::Quantile(_) => "quantile",
             EstimatorSpec::Adaptive(_) => "adaptive",
@@ -156,7 +147,6 @@ impl EstimatorSpec {
     fn successive_params(&self) -> Option<(f64, f64)> {
         match self {
             EstimatorSpec::Successive(c) => Some((c.alpha, c.beta)),
-            EstimatorSpec::MultiResource(c) => Some((c.memory.alpha, c.memory.beta)),
             EstimatorSpec::PerResource(c) => Some((c.memory.alpha, c.memory.beta)),
             EstimatorSpec::Adaptive(c) => Some((c.successive.alpha, c.successive.beta)),
             EstimatorSpec::WarmStart(c) => Some((c.successive.alpha, c.successive.beta)),
@@ -165,7 +155,7 @@ impl EstimatorSpec {
     }
 
     /// Override the successive-approximation α/β on the variants built on
-    /// Algorithm 1 (successive, multi-resource, adaptive, warm-start);
+    /// Algorithm 1 (successive, per-resource, adaptive, warm-start);
     /// no-op for the rest.
     pub fn with_alpha_beta(self, alpha: f64, beta: f64) -> Self {
         match self {
@@ -173,11 +163,6 @@ impl EstimatorSpec {
                 c.alpha = alpha;
                 c.beta = beta;
                 EstimatorSpec::Successive(c)
-            }
-            EstimatorSpec::MultiResource(mut c) => {
-                c.memory.alpha = alpha;
-                c.memory.beta = beta;
-                EstimatorSpec::MultiResource(c)
             }
             EstimatorSpec::PerResource(mut c) => {
                 // The override speaks for both channels: a sweep over α/β
@@ -206,8 +191,9 @@ impl EstimatorSpec {
 /// Renders the [`FromStr`] grammar: the canonical short name, plus an
 /// `:alpha,beta` suffix for the Algorithm-1 family when (α, β) differ
 /// from [`SuccessiveConfig::default`]. Round-trips through [`FromStr`]
-/// for any spec whose remaining configuration is default — the suffix is
-/// the only non-default state the grammar can carry.
+/// for any spec whose (α, β) lie in the ranges [`FromStr`] accepts and
+/// whose remaining configuration is default — the suffix is the only
+/// non-default state the grammar can carry.
 impl fmt::Display for EstimatorSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = self.short_name();
@@ -227,7 +213,8 @@ impl fmt::Display for EstimatorSpec {
 pub enum ParseEstimatorError {
     /// The name before any `:` matched no known estimator.
     UnknownName(String),
-    /// The `:alpha[,beta]` suffix did not parse as finite floats.
+    /// The `:alpha[,beta]` suffix did not parse as numbers with a finite
+    /// α > 1 and 0 ≤ β < 1, the ranges Algorithm 1 is defined on.
     BadParams(String),
     /// A parameter suffix was given for an estimator outside the
     /// Algorithm-1 family.
@@ -245,7 +232,7 @@ impl fmt::Display for ParseEstimatorError {
             ParseEstimatorError::BadParams(raw) => write!(
                 f,
                 "bad estimator parameters {raw:?}; expected \"alpha\" or \"alpha,beta\" \
-                 as finite numbers"
+                 with a finite alpha > 1 and 0 <= beta < 1"
             ),
             ParseEstimatorError::ParamsNotSupported(name) => {
                 write!(f, "estimator {name} takes no alpha/beta parameters")
@@ -259,7 +246,8 @@ impl std::error::Error for ParseEstimatorError {}
 /// Grammar: `name[:alpha[,beta]]`, e.g. `successive`, `successive:4`,
 /// `adaptive:2.5,0.1`. Names are the canonical short names in
 /// [`EstimatorSpec::NAMES`] (plus `none` for `pass-through`); the
-/// parameter suffix is only accepted by the Algorithm-1 family. All other
+/// parameter suffix is only accepted by the Algorithm-1 family, with a
+/// finite α > 1 and 0 ≤ β < 1 (an omitted β is 0). All other
 /// configuration stays at its default — the grammar is the CLI surface,
 /// not a full serialization.
 impl FromStr for EstimatorSpec {
@@ -271,24 +259,6 @@ impl FromStr for EstimatorSpec {
             Some((n, p)) => (n.trim(), Some(p.trim())),
             None => (s, None),
         };
-        let default = SuccessiveConfig::default();
-        let (alpha, beta) = match params {
-            None => (default.alpha, default.beta),
-            Some(raw) => {
-                let bad = || ParseEstimatorError::BadParams(raw.to_string());
-                let (a, b) = match raw.split_once(',') {
-                    Some((a, b)) => (
-                        a.trim().parse::<f64>().map_err(|_| bad())?,
-                        b.trim().parse::<f64>().map_err(|_| bad())?,
-                    ),
-                    None => (raw.parse::<f64>().map_err(|_| bad())?, default.beta),
-                };
-                if !a.is_finite() || !b.is_finite() {
-                    return Err(bad());
-                }
-                (a, b)
-            }
-        };
         let spec = match name {
             "pass-through" | "none" => EstimatorSpec::PassThrough,
             "oracle" => EstimatorSpec::Oracle,
@@ -297,15 +267,33 @@ impl FromStr for EstimatorSpec {
             "regression" => EstimatorSpec::Regression(RegressionConfig::default()),
             "reinforcement" => EstimatorSpec::Reinforcement(ReinforcementConfig::default()),
             "robust" => EstimatorSpec::Robust(RobustConfig::default()),
-            "multi-resource" => EstimatorSpec::MultiResource(MultiResourceConfig::default()),
             "per-resource" => EstimatorSpec::PerResource(PerResourceConfig::default()),
             "quantile" => EstimatorSpec::Quantile(QuantileConfig::default()),
             "adaptive" => EstimatorSpec::Adaptive(AdaptiveConfig::default()),
             "warm-start" => EstimatorSpec::WarmStart(WarmStartConfig::default()),
             other => return Err(ParseEstimatorError::UnknownName(other.to_string())),
         };
-        if params.is_some() && spec.successive_params().is_none() {
+        let Some(raw) = params else {
+            return Ok(spec);
+        };
+        if spec.successive_params().is_none() {
             return Err(ParseEstimatorError::ParamsNotSupported(spec.short_name()));
+        }
+        let bad = || ParseEstimatorError::BadParams(raw.to_string());
+        let (alpha, beta) = match raw.split_once(',') {
+            Some((a, b)) => (
+                a.trim().parse::<f64>().map_err(|_| bad())?,
+                b.trim().parse::<f64>().map_err(|_| bad())?,
+            ),
+            None => (
+                raw.parse::<f64>().map_err(|_| bad())?,
+                SuccessiveConfig::default().beta,
+            ),
+        };
+        // `SuccessiveApproximation::new` panics outside these ranges, so
+        // they are a parse error here rather than a panic at build time.
+        if !(alpha.is_finite() && alpha > 1.0 && (0.0..1.0).contains(&beta)) {
+            return Err(bad());
         }
         Ok(spec.with_alpha_beta(alpha, beta))
     }
@@ -321,21 +309,8 @@ mod tests {
 
     #[test]
     fn every_spec_builds_and_names_consistently() {
-        let specs = [
-            EstimatorSpec::PassThrough,
-            EstimatorSpec::Oracle,
-            EstimatorSpec::paper_successive(),
-            EstimatorSpec::LastInstance(LastInstanceConfig::default()),
-            EstimatorSpec::Regression(RegressionConfig::default()),
-            EstimatorSpec::Reinforcement(ReinforcementConfig::default()),
-            EstimatorSpec::Robust(RobustConfig::default()),
-            EstimatorSpec::MultiResource(MultiResourceConfig::default()),
-            EstimatorSpec::PerResource(PerResourceConfig::default()),
-            EstimatorSpec::Quantile(QuantileConfig::default()),
-            EstimatorSpec::Adaptive(AdaptiveConfig::default()),
-            EstimatorSpec::WarmStart(WarmStartConfig::default()),
-        ];
-        for spec in specs {
+        for name in EstimatorSpec::NAMES {
+            let spec: EstimatorSpec = name.parse().unwrap();
             let built = spec.build(&ladder());
             assert_eq!(built.name(), spec.name());
         }
@@ -384,10 +359,29 @@ mod tests {
             "successive:abc".parse::<EstimatorSpec>(),
             Err(ParseEstimatorError::BadParams(_))
         ));
-        assert!(matches!(
-            "successive:inf,0".parse::<EstimatorSpec>(),
-            Err(ParseEstimatorError::BadParams(_))
-        ));
+        // Non-finite values, α ≤ 1 and β outside [0, 1) would panic in
+        // `SuccessiveApproximation::new`; they are parse errors instead.
+        for bad in [
+            "successive:inf,0",
+            "successive:2,nan",
+            "successive:1",
+            "successive:0.5",
+            "successive:-3",
+            "successive:2,1",
+            "successive:2,-0.5",
+            "adaptive:0.5",
+            "per-resource:2,-0.5",
+            "warm-start:3,1.5",
+        ] {
+            match bad.parse::<EstimatorSpec>() {
+                Err(e @ ParseEstimatorError::BadParams(_)) => {
+                    let msg = e.to_string();
+                    assert!(msg.contains("alpha > 1 and 0 <= beta < 1"), "{msg}");
+                }
+                other => panic!("{bad} parsed as {other:?}"),
+            }
+        }
+        assert!("successive:1.0001,0.9999".parse::<EstimatorSpec>().is_ok());
         assert!(matches!(
             "oracle:2,0".parse::<EstimatorSpec>(),
             Err(ParseEstimatorError::ParamsNotSupported("oracle"))

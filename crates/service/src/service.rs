@@ -4,10 +4,10 @@
 //! lives on exactly one shard — the one its key's stable hash selects — so
 //! the hot query path ([`EstimatorService::estimate`]) touches a single
 //! shard and nothing else: no cross-shard locks, no shared mutable state.
-//! Shards are self-contained [`ServiceShard`] values, so a deployment (or
-//! the throughput bench) can split the service with
-//! [`EstimatorService::into_parts`] and drive each shard from its own
-//! thread.
+//! Shards are self-contained [`ServiceShard`] values, so a deployment can
+//! split the service with [`EstimatorService::into_parts`] and drive each
+//! shard from its own thread, as the integration test
+//! `threaded_shards_match_the_single_threaded_service` does.
 //!
 //! Feedback ([`EstimatorService::observe`]) is not applied inline: it is
 //! enqueued on the owning shard and applied as a batched write stream,

@@ -1,6 +1,7 @@
-//! Property test: `EstimatorSpec`'s `Display` output always parses back
-//! to the same spec (for specs whose non-(α, β) configuration is default,
-//! which is exactly what the grammar can express).
+//! Property test: `EstimatorSpec`'s `Display` output parses back to the
+//! same spec (for specs whose non-(α, β) configuration is default, which is
+//! exactly what the grammar can express) whenever its α/β lie in
+//! Algorithm 1's ranges, and is rejected as `BadParams` otherwise.
 
 use proptest::prelude::*;
 use resmatch_sim::prelude::*;
@@ -14,7 +15,8 @@ fn arb_base() -> impl Strategy<Value = EstimatorSpec> {
 
 /// α/β values spanning the interesting shapes: the defaults (suffix
 /// omitted), round values, fractional values, very large and very small
-/// magnitudes — all finite, so `Display` emits them losslessly.
+/// magnitudes — all finite, so `Display` emits them losslessly — on both
+/// sides of α > 1 and 0 ≤ β < 1.
 fn arb_param() -> impl Strategy<Value = f64> {
     prop_oneof![
         Just(2.0),
@@ -37,10 +39,19 @@ proptest! {
     ) {
         let spec = base.with_alpha_beta(alpha, beta);
         let rendered = spec.to_string();
-        let parsed: EstimatorSpec = rendered.parse().unwrap_or_else(|e| {
-            panic!("{rendered:?} failed to re-parse: {e}")
-        });
-        prop_assert_eq!(parsed, spec, "render was {}", rendered);
+        let in_range = alpha > 1.0 && (0.0..1.0).contains(&beta);
+        if rendered.contains(':') && !in_range {
+            let parsed = rendered.parse::<EstimatorSpec>();
+            prop_assert!(
+                matches!(parsed, Err(ParseEstimatorError::BadParams(_))),
+                "{} parsed as {:?}", rendered, parsed
+            );
+        } else {
+            let parsed: EstimatorSpec = rendered.parse().unwrap_or_else(|e| {
+                panic!("{rendered:?} failed to re-parse: {e}")
+            });
+            prop_assert_eq!(parsed, spec, "render was {}", rendered);
+        }
     }
 
     #[test]

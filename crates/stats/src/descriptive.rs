@@ -3,8 +3,7 @@
 /// A one-pass numeric summary of a sample.
 ///
 /// Percentile queries require the data to be retained and sorted, so
-/// [`Summary`] is built from a slice rather than streamed; for streaming use
-/// [`crate::online::Welford`].
+/// [`Summary`] is built from a slice rather than streamed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of observations.

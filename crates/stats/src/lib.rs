@@ -5,7 +5,8 @@
 //! magnitude of over-provisioning ratios, so its bins are logarithmic),
 //! least-squares regression with the R² goodness-of-fit measure (the Figure 1
 //! log-linear fit reports R² = 0.69 and the Figure 8 node-count fit reports
-//! R² = 0.991), and running summaries used by the online estimators.
+//! R² = 0.991), sample summaries, parametric distributions for the
+//! synthetic trace, and the two-sample Kolmogorov–Smirnov test.
 //!
 //! Everything in this crate is dependency-light, deterministic, and
 //! allocation-conscious so it can sit on the simulator's hot paths.
@@ -36,21 +37,13 @@
     )
 )]
 
-pub mod bootstrap;
-pub mod correlation;
 pub mod descriptive;
 pub mod distributions;
-pub mod empirical;
 pub mod histogram;
 pub mod ks;
-pub mod online;
 pub mod regression;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, ConfidenceInterval};
-pub use correlation::{pearson, spearman};
 pub use descriptive::Summary;
-pub use empirical::EmpiricalDistribution;
 pub use histogram::{Histogram, LogHistogram};
 pub use ks::{ks_two_sample, KsResult};
-pub use online::{Ewma, Welford};
 pub use regression::{LeastSquares, SimpleLinearRegression};

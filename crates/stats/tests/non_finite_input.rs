@@ -1,7 +1,7 @@
-//! Functions documented to return `None` for bad input do so for NaN and
-//! infinity too, instead of panicking while sorting or pivoting.
+//! `LeastSquares::fit`, documented to return `None` for bad input, does so
+//! for NaN and infinity too, instead of panicking while pivoting.
 
-use resmatch_stats::{spearman, LeastSquares};
+use resmatch_stats::LeastSquares;
 
 #[test]
 fn non_finite_input_returns_none() {
@@ -12,26 +12,6 @@ fn non_finite_input_returns_none() {
     // (case, expected Some?, actual Some?) — the finite rows are controls
     // showing the guards reject only what they should.
     let cases = [
-        (
-            "spearman finite",
-            true,
-            spearman(&[1.0, 3.0, 2.0], &[1.0, 2.0, 3.0]).is_some(),
-        ),
-        (
-            "spearman NaN in xs",
-            false,
-            spearman(&[1.0, nan, 2.0], &[1.0, 2.0, 3.0]).is_some(),
-        ),
-        (
-            "spearman NaN in ys",
-            false,
-            spearman(&[1.0, 2.0, 3.0], &[nan, 2.0, 3.0]).is_some(),
-        ),
-        (
-            "spearman inf",
-            false,
-            spearman(&[1.0, inf, 2.0], &[1.0, 2.0, 3.0]).is_some(),
-        ),
         (
             "fit finite",
             true,

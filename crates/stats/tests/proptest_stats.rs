@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use resmatch_stats::descriptive::Summary;
-use resmatch_stats::empirical::EmpiricalDistribution;
 use resmatch_stats::histogram::{Histogram, LogHistogram};
-use resmatch_stats::online::Welford;
 use resmatch_stats::regression::{r_squared, LeastSquares, SimpleLinearRegression};
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -12,39 +10,6 @@ fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    #[test]
-    fn welford_matches_batch(data in finite_vec(200)) {
-        let mut w = Welford::new();
-        for &v in &data {
-            w.update(v);
-        }
-        let s = Summary::from_slice(&data);
-        prop_assert_eq!(w.count() as usize, s.count);
-        prop_assert!((w.mean() - s.mean).abs() < 1e-6 * (1.0 + s.mean.abs()));
-        prop_assert!((w.variance() - s.variance).abs() < 1e-4 * (1.0 + s.variance));
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential(data in finite_vec(200), split in 0usize..200) {
-        let split = split.min(data.len());
-        let mut all = Welford::new();
-        for &v in &data {
-            all.update(v);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &v in &data[..split] {
-            left.update(v);
-        }
-        for &v in &data[split..] {
-            right.update(v);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), all.count());
-        prop_assert!((left.mean() - all.mean()).abs() < 1e-6 * (1.0 + all.mean().abs()));
-        prop_assert!((left.variance() - all.variance()).abs() < 1e-4 * (1.0 + all.variance()));
-    }
-
     #[test]
     fn histogram_conserves_observations(data in finite_vec(300)) {
         let mut h = Histogram::new(-1e5, 1e5, 16);
@@ -114,27 +79,5 @@ proptest! {
         prop_assert!((fit.coefficients[0] - a).abs() < 1e-6);
         prop_assert!((fit.coefficients[1] - b).abs() < 1e-6);
         prop_assert!((fit.coefficients[2] - c).abs() < 1e-5);
-    }
-
-    #[test]
-    fn empirical_quantiles_bounded_and_monotone(data in finite_vec(100)) {
-        let d = EmpiricalDistribution::from_sample(&data).unwrap();
-        let mut last = f64::NEG_INFINITY;
-        for i in 0..=20 {
-            let q = d.quantile(i as f64 / 20.0);
-            prop_assert!(q >= last - 1e-12);
-            prop_assert!(q >= d.min() && q <= d.max());
-            last = q;
-        }
-    }
-
-    #[test]
-    fn empirical_cdf_quantile_consistent(data in finite_vec(100), u in 0.0f64..1.0) {
-        let d = EmpiricalDistribution::from_sample(&data).unwrap();
-        let x = d.quantile(u);
-        // At least a u-fraction of mass lies at or below the u-quantile
-        // (up to interpolation granularity of one sample).
-        let cdf = d.cdf(x);
-        prop_assert!(cdf + 1.0 / d.len() as f64 >= u - 1e-9);
     }
 }

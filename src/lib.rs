@@ -24,8 +24,8 @@
 //! - [`service`] — the estimators as a long-running online service:
 //!   similarity groups hash-sharded across shard-local estimators, batched
 //!   feedback, and versioned binary snapshot/restore;
-//! - [`stats`] — histograms, regression, distributions, and online
-//!   statistics used throughout;
+//! - [`stats`] — histograms, regression, distributions, and the
+//!   Kolmogorov–Smirnov test used throughout;
 //! - [`classad`] — a miniature Condor-style ClassAd matchmaking language
 //!   (the declarative substrate the paper's related work builds on), with
 //!   a bridge proving it matches exactly like the native matcher and a

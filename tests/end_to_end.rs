@@ -3,8 +3,6 @@
 
 use resmatch::prelude::*;
 
-const MB: u64 = 1024;
-
 fn trace(jobs: usize, seed: u64) -> Workload {
     let mut w = generate(
         &Cm5Config {
@@ -206,49 +204,4 @@ fn all_estimators_complete_the_same_jobs() {
             spec.name()
         );
     }
-}
-
-#[test]
-fn multi_resource_estimation_frees_package_constrained_nodes() {
-    // Nodes with package A+B are scarce; most have only A. Jobs request
-    // both packages but only exercise A, so estimation unlocks the A-only
-    // pool.
-    let cluster = ClusterBuilder::new()
-        .pool_with(4, Capacity::new(32 * MB, u64::MAX, 0b11))
-        .pool_with(28, Capacity::new(32 * MB, u64::MAX, 0b01))
-        .build();
-    let jobs: Workload = (0..40u64)
-        .map(|i| {
-            JobBuilder::new(i)
-                .user(1)
-                .app(1)
-                .submit(Time::from_secs(i * 30))
-                .nodes(4)
-                .runtime(Time::from_secs(300))
-                .requested_mem_kb(16 * MB)
-                .used_mem_kb(8 * MB)
-                .requested_packages(0b11)
-                .used_packages(0b01)
-                .build()
-        })
-        .collect();
-    let base = Simulation::new(
-        SimConfig::default(),
-        cluster.clone(),
-        EstimatorSpec::PassThrough,
-    )
-    .run(&jobs);
-    let est = Simulation::new(
-        SimConfig::default(),
-        cluster,
-        EstimatorSpec::MultiResource(MultiResourceConfig::default()),
-    )
-    .run(&jobs);
-    assert_eq!(est.completed_jobs, 40);
-    assert!(
-        est.mean_wait_s() < base.mean_wait_s(),
-        "package estimation must relieve the A+B pool: est {} vs base {}",
-        est.mean_wait_s(),
-        base.mean_wait_s()
-    );
 }
