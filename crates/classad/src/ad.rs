@@ -1,4 +1,4 @@
-//! The ClassAd itself plus the two-ad matchmaker.
+//! The `ClassAd` itself plus the two-ad matchmaker.
 
 use std::collections::BTreeMap;
 
@@ -49,6 +49,9 @@ impl ClassAd {
 
     /// Insert an attribute from expression text (parsed now, evaluated
     /// lazily at match time).
+    ///
+    /// # Errors
+    /// Returns the parse failure for invalid expression text.
     pub fn insert_expr(&mut self, name: &str, text: &str) -> Result<&mut Self, ParseError> {
         let expr = parse(text)?;
         self.attrs.insert(name.to_ascii_lowercase(), expr);
@@ -71,6 +74,10 @@ impl ClassAd {
     }
 
     /// Evaluate one of this ad's attributes against a candidate `other`.
+    ///
+    /// # Errors
+    /// [`EvalError`] when attribute references chain past the evaluator's
+    /// depth limit (a reference cycle).
     pub fn evaluate(&self, name: &str, other: Option<&ClassAd>) -> Result<Value, EvalError> {
         match self.expr(name) {
             None => Ok(Value::Undefined),
@@ -83,6 +90,9 @@ impl ClassAd {
 /// exactly `true` against each other. A missing `Requirements` attribute
 /// counts as unconstrained (true), but an `undefined`/`error` result does
 /// not match.
+///
+/// # Errors
+/// [`EvalError`] when either `Requirements` fails to evaluate.
 pub fn matches(a: &ClassAd, b: &ClassAd) -> Result<bool, EvalError> {
     let a_req = match a.expr("requirements") {
         None => true,
@@ -100,6 +110,9 @@ pub fn matches(a: &ClassAd, b: &ClassAd) -> Result<bool, EvalError> {
 
 /// Evaluate `a`'s `Rank` against `b`: higher is more preferred; missing or
 /// non-numeric ranks count as 0 (Condor's convention).
+///
+/// # Errors
+/// [`EvalError`] when `a`'s `Rank` fails to evaluate.
 pub fn rank(a: &ClassAd, b: &ClassAd) -> Result<f64, EvalError> {
     Ok(match a.evaluate("rank", Some(b))? {
         Value::Int(i) => i as f64,

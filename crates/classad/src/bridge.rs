@@ -1,4 +1,4 @@
-//! Bridge between the workspace's native job/capacity types and ClassAds.
+//! Bridge between the workspace's native job/capacity types and `ClassAds`.
 //!
 //! The point of this module is the fidelity argument: our cluster's native
 //! matcher (`Capacity::satisfies`) implements exactly the matching a
@@ -7,6 +7,8 @@
 //! request". A property test asserts the equivalence, so the estimator's
 //! demand-rewriting story carries over verbatim to declarative matchmaking
 //! deployments: estimation rewrites the *job ad*, nothing else.
+
+use std::fmt::Write as _;
 
 use resmatch_cluster::{Capacity, Demand};
 use resmatch_workload::Job;
@@ -28,6 +30,9 @@ pub(crate) const JOB_REQ_BASE_TEXT: &str =
     "other.Memory >= my.RequestedMemory && other.Disk >= my.RequestedDisk";
 
 /// Advertise a node's capacity as a machine ad.
+///
+/// # Panics
+/// Never: the `Requirements` text is a fixed expression that parses.
 pub fn machine_ad(capacity: &Capacity) -> ClassAd {
     let mut ad = ClassAd::new();
     ad.insert_int("Memory", capacity.mem_kb.min(i64::MAX as u64) as i64);
@@ -45,6 +50,9 @@ pub fn machine_ad(capacity: &Capacity) -> ClassAd {
 
 /// Advertise a demand (a job request, possibly estimator-rewritten) as a
 /// job ad.
+///
+/// # Panics
+/// Never: the generated `Requirements` text always parses.
 pub fn job_ad(demand: &Demand) -> ClassAd {
     let mut ad = ClassAd::new();
     ad.insert_int("RequestedMemory", demand.mem_kb.min(i64::MAX as u64) as i64);
@@ -52,7 +60,7 @@ pub fn job_ad(demand: &Demand) -> ClassAd {
     let mut requirements = String::from(JOB_REQ_BASE_TEXT);
     for bit in 0..PACKAGE_BITS {
         if demand.packages & (1 << bit) != 0 {
-            requirements.push_str(&format!(" && other.HasPkg{bit} == true"));
+            let _ = write!(requirements, " && other.HasPkg{bit} == true");
         }
     }
     #[expect(clippy::expect_used, reason = "invariant: generated expression parses")]

@@ -1,4 +1,4 @@
-//! A compiled form of ClassAd expressions for hot-path evaluation.
+//! A compiled form of `ClassAd` expressions for hot-path evaluation.
 //!
 //! The tree-walking evaluator in [`crate::eval`] resolves every attribute
 //! reference through a `BTreeMap` lookup and recurses through boxed AST
@@ -32,6 +32,7 @@
 //! semantics (`false && error` is `false`, `error && false` is what
 //! [`Value::and`] says).
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::parser::{BinOp, Expr, Scope};
@@ -148,6 +149,10 @@ impl CompiledExpr {
     ///
     /// Rows shorter than their schema are treated as all-absent past their
     /// end (slots out of range read as `undefined`).
+    ///
+    /// # Panics
+    /// Never: [`compile`] emits stack-balanced programs, so every operator
+    /// finds its operands.
     #[expect(
         clippy::expect_used,
         reason = "invariant: the compiler emits stack-balanced programs, so every operator finds its operands"
@@ -187,12 +192,12 @@ impl CompiledExpr {
                         BinOp::Sub => a.sub(&b),
                         BinOp::Mul => a.mul(&b),
                         BinOp::Div => a.div(&b),
-                        BinOp::Lt => a.compare(&b, |o| o.is_lt()),
-                        BinOp::Le => a.compare(&b, |o| o.is_le()),
-                        BinOp::Gt => a.compare(&b, |o| o.is_gt()),
-                        BinOp::Ge => a.compare(&b, |o| o.is_ge()),
-                        BinOp::Eq => a.compare(&b, |o| o.is_eq()),
-                        BinOp::Ne => a.compare(&b, |o| o.is_ne()),
+                        BinOp::Lt => a.compare(&b, Ordering::is_lt),
+                        BinOp::Le => a.compare(&b, Ordering::is_le),
+                        BinOp::Gt => a.compare(&b, Ordering::is_gt),
+                        BinOp::Ge => a.compare(&b, Ordering::is_ge),
+                        BinOp::Eq => a.compare(&b, Ordering::is_eq),
+                        BinOp::Ne => a.compare(&b, Ordering::is_ne),
                         BinOp::And => a.and(&b),
                         BinOp::Or => a.or(&b),
                     });
@@ -267,11 +272,9 @@ fn emit(expr: &Expr, my: &AdSchema, other: &AdSchema, out: &mut Vec<Instr>) {
         Expr::Attr { scope, name } => {
             let (m, o) = (my.slot(name), other.slot(name));
             out.push(match (scope, m, o) {
-                (Scope::My, Some(s), _) => Instr::LoadMy(s),
-                (Scope::Other, _, Some(s)) => Instr::LoadOther(s),
+                (Scope::My, Some(s), _) | (Scope::Either, Some(s), None) => Instr::LoadMy(s),
+                (Scope::Other, _, Some(s)) | (Scope::Either, None, Some(s)) => Instr::LoadOther(s),
                 (Scope::Either, Some(ms), Some(os)) => Instr::LoadEither(ms, os),
-                (Scope::Either, Some(s), None) => Instr::LoadMy(s),
-                (Scope::Either, None, Some(s)) => Instr::LoadOther(s),
                 _ => Instr::Push(Value::Undefined),
             });
         }

@@ -1,11 +1,13 @@
 //! Expression evaluation against a pair of ads.
 
+use std::cmp::Ordering;
+
 use crate::ad::ClassAd;
 use crate::parser::{BinOp, Expr, Scope};
 use crate::value::Value;
 
 /// Evaluation failure (currently only recursion-depth exhaustion; type
-/// errors surface as [`Value::Error`] per ClassAd semantics).
+/// errors surface as [`Value::Error`] per `ClassAd` semantics).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError {
     /// Description.
@@ -34,6 +36,10 @@ pub struct Context<'a> {
 }
 
 /// Evaluate `expr` in `ctx`.
+///
+/// # Errors
+/// [`EvalError`] when attribute references chain past the depth limit (a
+/// reference cycle).
 pub fn eval(expr: &Expr, ctx: &Context<'_>) -> Result<Value, EvalError> {
     eval_depth(expr, ctx, 0)
 }
@@ -117,12 +123,12 @@ fn eval_depth(expr: &Expr, ctx: &Context<'_>, depth: u32) -> Result<Value, EvalE
                 BinOp::Sub => a.sub(&b),
                 BinOp::Mul => a.mul(&b),
                 BinOp::Div => a.div(&b),
-                BinOp::Lt => a.compare(&b, |o| o.is_lt()),
-                BinOp::Le => a.compare(&b, |o| o.is_le()),
-                BinOp::Gt => a.compare(&b, |o| o.is_gt()),
-                BinOp::Ge => a.compare(&b, |o| o.is_ge()),
-                BinOp::Eq => a.compare(&b, |o| o.is_eq()),
-                BinOp::Ne => a.compare(&b, |o| o.is_ne()),
+                BinOp::Lt => a.compare(&b, Ordering::is_lt),
+                BinOp::Le => a.compare(&b, Ordering::is_le),
+                BinOp::Gt => a.compare(&b, Ordering::is_gt),
+                BinOp::Ge => a.compare(&b, Ordering::is_ge),
+                BinOp::Eq => a.compare(&b, Ordering::is_eq),
+                BinOp::Ne => a.compare(&b, Ordering::is_ne),
                 BinOp::And => a.and(&b),
                 BinOp::Or => a.or(&b),
             }

@@ -64,6 +64,10 @@ impl fmt::Display for LexError {
 }
 
 /// Tokenize an expression string.
+///
+/// # Errors
+/// [`LexError`] at the first malformed token: a lone `=`, `&` or `|`, an
+/// unterminated string, a bad number or an unexpected character.
 pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
@@ -80,11 +84,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 tokens.push(Token::RParen);
                 i += 1;
             }
-            '.' if !bytes
-                .get(i + 1)
-                .map(|b| b.is_ascii_digit())
-                .unwrap_or(false) =>
-            {
+            '.' if !bytes.get(i + 1).is_some_and(u8::is_ascii_digit) => {
                 tokens.push(Token::Dot);
                 i += 1;
             }
@@ -180,11 +180,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 i = j + 1;
             }
             c if c.is_ascii_digit()
-                || (c == '.'
-                    && bytes
-                        .get(i + 1)
-                        .map(|b| b.is_ascii_digit())
-                        .unwrap_or(false)) =>
+                || (c == '.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
             {
                 let start = i;
                 let mut seen_dot = false;

@@ -1,8 +1,8 @@
-//! A miniature ClassAd matchmaking language.
+//! A miniature `ClassAd` matchmaking language.
 //!
 //! The paper's related-work section grounds resource matching in Condor's
-//! ClassAds: "jobs and resources declare their capabilities, constraints,
-//! and preferences using ClassAds ... two ClassAds are matched against each
+//! `ClassAds`: "jobs and resources declare their capabilities, constraints,
+//! and preferences using `ClassAds` ... two `ClassAds` are matched against each
 //! other", and "successful matching occurs when the available resource
 //! capacity is equal to or greater than the job request". This crate
 //! implements that substrate: a declarative attribute/expression language

@@ -1,5 +1,5 @@
 //! The allocation-path matchmaker: [`Matchmaker`] implements the
-//! cluster's [`PoolMatcher`] seam on top of compiled ClassAds, with the
+//! cluster's [`PoolMatcher`] seam on top of compiled `ClassAds`, with the
 //! expression machinery hoisted entirely out of the per-attempt loop.
 //!
 //! Three layers keep the hot path at comparator cost (DESIGN.md §12):
@@ -145,7 +145,8 @@ struct Interp {
 #[derive(Debug)]
 pub struct Matchmaker {
     // ---- layer 1: eligibility index over the fixed pool table ----
-    /// Per-pool clamped memory / disk and package bits (SoA columns).
+    /// Per-pool clamped memory / disk and package bits (struct-of-arrays
+    /// columns).
     pool_mem: Vec<i64>,
     pool_disk: Vec<i64>,
     pool_pkgs: Vec<u32>,
@@ -297,6 +298,9 @@ impl Matchmaker {
     ///
     /// # Errors
     /// Returns the parse failure for invalid expression text.
+    ///
+    /// # Panics
+    /// Never: the expression interpreter is set up just before its use.
     pub fn with_constraint(mut self, text: &str) -> Result<Self, ParseError> {
         let expr = parse(text)?;
         self.ensure_interp();
@@ -329,6 +333,9 @@ impl Matchmaker {
     ///
     /// # Errors
     /// Returns the parse failure for invalid expression text.
+    ///
+    /// # Panics
+    /// Never: the expression interpreter is set up just before its use.
     pub fn with_rank(mut self, text: &str) -> Result<Self, ParseError> {
         let expr = parse(text)?;
         self.ensure_interp();
@@ -679,8 +686,8 @@ impl PoolMatcher for Matchmaker {
         // demands could clamp into one class while a pool's raw capacity
         // still separated them under `Capacity::satisfies`.
         if self.class_indexed()
-            && demand.mem_kb <= i64::MAX as u64
-            && demand.disk_kb <= i64::MAX as u64
+            && i64::try_from(demand.mem_kb).is_ok()
+            && i64::try_from(demand.disk_kb).is_ok()
         {
             let mrow = self
                 .mem_rungs

@@ -20,7 +20,7 @@ use crate::lexer::{lex, LexError, Token};
 /// Attribute reference scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
-    /// Unqualified: resolve in `my`, then `other` (ClassAd convention).
+    /// Unqualified: resolve in `my`, then `other` (`ClassAd` convention).
     Either,
     /// `my.attr`.
     My,
@@ -299,6 +299,10 @@ impl Parser {
 }
 
 /// Parse an expression string.
+///
+/// # Errors
+/// [`ParseError`] for a lexing failure, empty input, or tokens that do not
+/// form one expression.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
     if tokens.is_empty() {

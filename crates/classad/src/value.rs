@@ -1,6 +1,6 @@
-//! Runtime values with ClassAd semantics.
+//! Runtime values with `ClassAd` semantics.
 //!
-//! ClassAds are three-valued: expressions over missing attributes evaluate
+//! `ClassAds` are three-valued: expressions over missing attributes evaluate
 //! to `Undefined` rather than failing, and `Undefined` propagates through
 //! arithmetic and comparisons — but `&&`/`||` can absorb it
 //! (`false && undefined = false`, `true || undefined = true`). Type
@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-/// A ClassAd runtime value.
+/// A `ClassAd` runtime value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// 64-bit integer.
@@ -57,17 +57,17 @@ impl Value {
 
     /// Addition.
     pub fn add(&self, other: &Value) -> Value {
-        self.arith(other, |a, b| a + b, |a, b| a.checked_add(b))
+        self.arith(other, |a, b| a + b, i64::checked_add)
     }
 
     /// Subtraction.
     pub fn sub(&self, other: &Value) -> Value {
-        self.arith(other, |a, b| a - b, |a, b| a.checked_sub(b))
+        self.arith(other, |a, b| a - b, i64::checked_sub)
     }
 
     /// Multiplication.
     pub fn mul(&self, other: &Value) -> Value {
-        self.arith(other, |a, b| a * b, |a, b| a.checked_mul(b))
+        self.arith(other, |a, b| a * b, i64::checked_mul)
     }
 
     /// Division; integer division by zero is `Error`.
@@ -86,7 +86,6 @@ impl Value {
         }
         match (self.as_f64(), other.as_f64()) {
             (Some(a), Some(b)) if b != 0.0 => Value::Float(a / b),
-            (Some(_), Some(_)) => Value::Error,
             _ => Value::Error,
         }
     }
@@ -102,7 +101,7 @@ impl Value {
         }
         if self.both_int(other) {
             if let (Value::Int(a), Value::Int(b)) = (self, other) {
-                return ii(*a, *b).map(Value::Int).unwrap_or(Value::Error);
+                return ii(*a, *b).map_or(Value::Error, Value::Int);
             }
         }
         match (self.as_f64(), other.as_f64()) {
@@ -132,7 +131,7 @@ impl Value {
         }
     }
 
-    /// ClassAd logical AND: `false` absorbs `Undefined`.
+    /// `ClassAd` logical AND: `false` absorbs `Undefined`.
     pub fn and(&self, other: &Value) -> Value {
         match (self, other) {
             (Value::Error, _) | (_, Value::Error) => Value::Error,
@@ -143,7 +142,7 @@ impl Value {
         }
     }
 
-    /// ClassAd logical OR: `true` absorbs `Undefined`.
+    /// `ClassAd` logical OR: `true` absorbs `Undefined`.
     pub fn or(&self, other: &Value) -> Value {
         match (self, other) {
             (Value::Error, _) | (_, Value::Error) => Value::Error,
@@ -166,7 +165,7 @@ impl Value {
     /// Arithmetic negation.
     pub fn neg(&self) -> Value {
         match self {
-            Value::Int(i) => i.checked_neg().map(Value::Int).unwrap_or(Value::Error),
+            Value::Int(i) => i.checked_neg().map_or(Value::Error, Value::Int),
             Value::Float(f) => Value::Float(-f),
             Value::Undefined => Value::Undefined,
             _ => Value::Error,

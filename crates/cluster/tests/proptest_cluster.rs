@@ -3,7 +3,9 @@
 //! correctness.
 
 use proptest::prelude::*;
-use resmatch_cluster::{Allocation, CapacityLadder, Cluster, ClusterBuilder, Demand, MatchPolicy};
+use resmatch_cluster::{
+    Allocation, Capacity, CapacityLadder, Cluster, ClusterBuilder, Demand, MatchPolicy, PoolMatcher,
+};
 
 fn arb_policy() -> impl Strategy<Value = MatchPolicy> {
     prop_oneof![
@@ -46,6 +48,25 @@ fn build_cluster() -> Cluster {
         .build()
 }
 
+/// Accepts the pools whose bit is set in `mask`. With `indexed` it also
+/// publishes the mask as its eligibility bitset, so a case counts through
+/// either the bitset or the per-pool `matches` walk.
+#[derive(Debug, Clone, Copy)]
+struct PoolMask {
+    mask: [u64; 1],
+    indexed: bool,
+}
+
+impl PoolMatcher for PoolMask {
+    fn matches(&mut self, pool: usize, _capacity: &Capacity) -> bool {
+        self.mask[0] >> pool & 1 != 0
+    }
+
+    fn eligible_pools(&self) -> Option<&[u64]> {
+        self.indexed.then_some(&self.mask[..])
+    }
+}
+
 /// Nodes the held allocations drew from each pool.
 fn held_per_pool(held: &[Allocation]) -> [u32; POOLS.len()] {
     let mut per_pool = [0; POOLS.len()];
@@ -57,15 +78,26 @@ fn held_per_pool(held: &[Allocation]) -> [u32; POOLS.len()] {
 
 proptest! {
     #[test]
-    fn allocation_conserves_nodes(ops in arb_ops(), policy in arb_policy()) {
+    fn allocation_conserves_nodes(
+        ops in arb_ops(),
+        policy in arb_policy(),
+        mask in 0u64..1 << POOLS.len(),
+        indexed in any::<bool>(),
+        first in (1u32..40, 1u64..40_000),
+    ) {
         let mut cluster = build_cluster();
         let total = cluster.total_nodes();
         let mut held: Vec<Allocation> = Vec::new();
         let mut offline = [0u32; POOLS.len()];
+        let mut matcher = PoolMask { mask: [mask], indexed };
+        // The last allocation's count and demand; churn and release ops
+        // are checked against it too.
+        let (mut probe_count, mut probe) = (first.0, Demand::memory(first.1));
         for (token, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Alloc { count, mem_kb } => {
                     let demand = Demand::memory(mem_kb);
+                    (probe_count, probe) = (count, demand);
                     let eligible_free = cluster.free_nodes_satisfying(&demand);
                     match cluster.try_allocate(count, &demand, policy, token as u64) {
                         Some(alloc) => {
@@ -114,6 +146,21 @@ proptest! {
             prop_assert_eq!(cluster.offline_nodes(), offline.iter().sum::<u32>());
             prop_assert_eq!(cluster.free_nodes() + cluster.offline_nodes() + held_nodes, total);
             prop_assert_eq!(cluster.busy_nodes(), held_nodes);
+            // The bound the EASY backfill hunt refuses on before it asks
+            // the matcher: eligible free nodes never exceed free nodes, so
+            // no count above the free total can be granted.
+            matcher.prepare(&probe);
+            let matched = cluster.free_nodes_satisfying_matched(&probe, &mut matcher);
+            let satisfying = cluster.free_nodes_satisfying(&probe);
+            prop_assert!(matched <= satisfying, "{} matched > {} satisfying", matched, satisfying);
+            prop_assert!(satisfying <= cluster.free_nodes());
+            let over = probe_count.max(cluster.free_nodes() + 1);
+            prop_assert!(
+                cluster
+                    .try_allocate_matched(over, &probe, policy, u64::MAX, &mut matcher)
+                    .is_none(),
+                "granted {} nodes with {} free", over, cluster.free_nodes()
+            );
         }
         // Drain and verify full recovery.
         for alloc in held {

@@ -154,6 +154,24 @@ impl EstimatorSpec {
         }
     }
 
+    /// Whether every Algorithm-1 (α, β) this spec carries lies where
+    /// Algorithm 1 is defined: a finite α > 1 and 0 ≤ β < 1. The estimator
+    /// constructors panic outside these ranges, so [`FromStr`], the
+    /// simulator's builder and the estimator service check them first.
+    /// Specs outside the family carry none and pass.
+    pub fn params_in_range(&self) -> bool {
+        let in_range =
+            |alpha: f64, beta: f64| alpha.is_finite() && alpha > 1.0 && (0.0..1.0).contains(&beta);
+        match self {
+            EstimatorSpec::PerResource(c) => {
+                in_range(c.memory.alpha, c.memory.beta) && in_range(c.disk_alpha, c.disk_beta)
+            }
+            _ => self
+                .successive_params()
+                .is_none_or(|(alpha, beta)| in_range(alpha, beta)),
+        }
+    }
+
     /// Override the successive-approximation α/β on the variants built on
     /// Algorithm 1 (successive, per-resource, adaptive, warm-start);
     /// no-op for the rest.
@@ -290,12 +308,11 @@ impl FromStr for EstimatorSpec {
                 SuccessiveConfig::default().beta,
             ),
         };
-        // `SuccessiveApproximation::new` panics outside these ranges, so
-        // they are a parse error here rather than a panic at build time.
-        if !(alpha.is_finite() && alpha > 1.0 && (0.0..1.0).contains(&beta)) {
+        let spec = spec.with_alpha_beta(alpha, beta);
+        if !spec.params_in_range() {
             return Err(bad());
         }
-        Ok(spec.with_alpha_beta(alpha, beta))
+        Ok(spec)
     }
 }
 
@@ -388,6 +405,26 @@ mod tests {
         ));
         let msg = "bogus".parse::<EstimatorSpec>().unwrap_err().to_string();
         assert!(msg.contains("pass-through"), "{msg}");
+    }
+
+    #[test]
+    fn params_in_range_covers_every_channel() {
+        assert!(EstimatorSpec::paper_successive().params_in_range());
+        assert!(EstimatorSpec::Oracle.params_in_range());
+        for (alpha, beta) in [
+            (1.0, 0.0),
+            (f64::NAN, 0.0),
+            (f64::INFINITY, 0.0),
+            (2.0, 1.0),
+        ] {
+            let spec = EstimatorSpec::paper_successive().with_alpha_beta(alpha, beta);
+            assert!(!spec.params_in_range(), "{alpha}, {beta}");
+        }
+        let cfg = PerResourceConfig {
+            disk_beta: -0.5,
+            ..PerResourceConfig::default()
+        };
+        assert!(!EstimatorSpec::PerResource(cfg).params_in_range());
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub enum ServiceError {
         /// Stringified `std::io::Error`.
         detail: String,
     },
-    /// The service configuration is unusable (zero shards, zero batch).
+    /// The service configuration is unusable (zero shards, zero batch,
+    /// estimator α/β out of range).
     Config {
         /// What about the configuration is invalid.
         detail: &'static str,

@@ -182,8 +182,15 @@ impl EstimatorService {
     /// Build a service: one estimator instance per shard plus a router.
     ///
     /// # Errors
-    /// [`ServiceError::Config`] when `shards` or `feedback_batch` is zero.
+    /// [`ServiceError::Config`] when `shards` or `feedback_batch` is zero,
+    /// or when the spec's α/β lie outside Algorithm 1's ranges
+    /// ([`EstimatorSpec::params_in_range`]).
     pub fn new(cfg: &ServiceConfig) -> Result<Self, ServiceError> {
+        if !cfg.spec.params_in_range() {
+            return Err(ServiceError::Config {
+                detail: "estimator alpha must be finite and above 1, beta in [0, 1)",
+            });
+        }
         if cfg.shards == 0 {
             return Err(ServiceError::Config {
                 detail: "shard count must be at least 1",
@@ -350,6 +357,14 @@ mod tests {
             EstimatorService::new(&cfg).unwrap_err(),
             ServiceError::Config { .. }
         ));
+    }
+
+    #[test]
+    fn out_of_range_alpha_is_a_config_error() {
+        let spec = EstimatorSpec::paper_successive().with_alpha_beta(1.0, 0.0);
+        let err = EstimatorService::new(&ServiceConfig::new(spec, ladder())).unwrap_err();
+        assert!(matches!(err, ServiceError::Config { .. }), "{err:?}");
+        assert!(err.to_string().contains("alpha"), "{err}");
     }
 
     #[test]

@@ -38,9 +38,10 @@ enum EstimatorSource {
 }
 
 /// The simulator crate's workspace-facing error type (formerly
-/// `BuildError`). Today every failure mode is a missing builder component;
-/// the enum is `#[non_exhaustive]` so later seams (workload validation,
-/// churn-schedule checks) can add variants without a breaking release.
+/// `BuildError`): a missing builder component or an unusable estimator
+/// spec. The enum is `#[non_exhaustive]` so later seams (workload
+/// validation, churn-schedule checks) can add variants without a breaking
+/// release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -49,6 +50,9 @@ pub enum SimError {
     /// Neither [`SimulationBuilder::estimator`] nor
     /// [`SimulationBuilder::boxed_estimator`] was called.
     MissingEstimator,
+    /// The estimator spec's α/β lie outside Algorithm 1's ranges
+    /// ([`EstimatorSpec::params_in_range`]).
+    EstimatorParamsOutOfRange,
 }
 
 impl fmt::Display for SimError {
@@ -61,6 +65,10 @@ impl fmt::Display for SimError {
                     "simulation builder: no estimator spec or implementation supplied"
                 )
             }
+            SimError::EstimatorParamsOutOfRange => write!(
+                f,
+                "simulation builder: estimator alpha must be finite and above 1, beta in [0, 1)"
+            ),
         }
     }
 }
@@ -160,10 +168,15 @@ impl SimulationBuilder {
     ///
     /// # Errors
     /// [`SimError::MissingCluster`] or [`SimError::MissingEstimator`]
-    /// when a required component was never supplied.
+    /// when a required component was never supplied, and
+    /// [`SimError::EstimatorParamsOutOfRange`] for a spec whose α/β
+    /// [`Simulation::new`] would panic on.
     pub fn build(self) -> Result<Simulation, SimError> {
         let cluster = self.cluster.ok_or(SimError::MissingCluster)?;
         let sim = match self.estimator.ok_or(SimError::MissingEstimator)? {
+            EstimatorSource::Spec(spec) if !spec.params_in_range() => {
+                return Err(SimError::EstimatorParamsOutOfRange)
+            }
             EstimatorSource::Spec(spec) => Simulation::new(self.cfg, cluster, spec),
             EstimatorSource::Boxed(est) => Simulation::from_parts(self.cfg, cluster, est),
         };
@@ -199,6 +212,16 @@ mod tests {
         );
         let msg = SimError::MissingEstimator.to_string();
         assert!(msg.contains("estimator"), "{msg}");
+    }
+
+    #[test]
+    fn out_of_range_alpha_is_reported() {
+        let spec = EstimatorSpec::paper_successive().with_alpha_beta(1.0, 0.0);
+        let built = Simulation::builder()
+            .cluster(cluster())
+            .estimator(spec)
+            .build();
+        assert_eq!(built.err(), Some(SimError::EstimatorParamsOutOfRange));
     }
 
     #[test]

@@ -358,6 +358,11 @@ impl Simulation {
 
     /// Build from an estimator spec (instantiated against this cluster's
     /// capacity ladder).
+    ///
+    /// # Panics
+    /// Panics when the spec's α/β lie outside Algorithm 1's ranges
+    /// ([`EstimatorSpec::params_in_range`]); [`Simulation::builder`]
+    /// reports them as an error instead.
     pub fn new(cfg: SimConfig, cluster: Cluster, spec: EstimatorSpec) -> Self {
         let estimator = spec.build(&cluster.memory_ladder());
         Simulation::from_parts(cfg, cluster, estimator)
@@ -1069,10 +1074,14 @@ impl Simulation {
             (d, self.scope_slot_of(state, slot))
         };
         let lowered = demand != request && demand.within(&request);
-        matcher.prepare(&demand);
-        let eligible = self.cluster.nodes_satisfying_matched(&demand, matcher);
-        matcher.prepare(&request);
-        let benefited = eligible > self.cluster.nodes_satisfying_matched(&request, matcher);
+        // An estimate equal to the request has the request's candidate
+        // count, so only a differing one needs the two matched counts.
+        let benefited = demand != request && {
+            matcher.prepare(&demand);
+            let eligible = self.cluster.nodes_satisfying_matched(&demand, matcher);
+            matcher.prepare(&request);
+            eligible > self.cluster.nodes_satisfying_matched(&request, matcher)
+        };
         Queued {
             job: slot,
             attempts,
@@ -1416,11 +1425,14 @@ impl Simulation {
                 // contiguous view of the queue — no per-element deque
                 // index arithmetic — with a `try_start_at` call per
                 // genuine candidate. The hunt rejects on the entry alone
-                // (window, retry stamp) and gates fresh entries on the
-                // live eligible-free count inline: a completion
-                // invalidates every retry stamp at once, and this keeps
-                // the resulting first pass from paying a full call per
-                // provably-refused entry.
+                // (window, retry stamp) and gates fresh entries inline,
+                // first on the cluster's free-node total (one compare, no
+                // matcher), then on the live eligible-free count: a
+                // completion invalidates every retry stamp at once, and
+                // this keeps the resulting first pass from paying a full
+                // call per provably-refused entry. Both refusals stamp
+                // the entry: eligible free nodes never exceed free nodes,
+                // and free nodes only fall within one retry epoch.
                 let mut started = false;
                 let mut hunt_from = scan_from;
                 // The window the conservative completion must fit in;
@@ -1434,6 +1446,7 @@ impl Simulation {
                         let structural = state.structural_epoch;
                         let feedback = state.feedback_epoch;
                         let cluster = &self.cluster;
+                        let free_total = cluster.free_nodes();
                         let slots = &state.group_epoch_by_slot;
                         let (rts, stamps, colds) = state.queue.hunt_columns(hunt_from);
                         let mut found = None;
@@ -1457,7 +1470,13 @@ impl Simulation {
                                     SCOPE_GLOBAL => q.feedback_stamp != feedback,
                                     slot => slots[slot as usize] > q.feedback_stamp,
                                 };
+                            // A stale entry goes to `try_start_at` unjudged:
+                            // its refresh calls the estimator, observably.
                             if !needs_refresh {
+                                if q.nodes > free_total {
+                                    *stamp = epoch;
+                                    continue;
+                                }
                                 matcher.prepare(&q.demand);
                                 if q.nodes
                                     > cluster.free_nodes_satisfying_matched(&q.demand, matcher)

@@ -99,8 +99,8 @@ pub struct RunCounters {
     pub churn_events: u64,
     /// Matchmaking mode only: allocator calls made for fresh queue
     /// entries (entries whose recorded refusal still stands, and backfill
-    /// candidates with too few eligible free nodes, are skipped without
-    /// one); zero in native mode.
+    /// candidates with too few free nodes, in total or in eligible pools,
+    /// are skipped without one); zero in native mode.
     pub match_attempts: u64,
     /// Matchmaking mode only: the allocator calls of
     /// [`RunCounters::match_attempts`] that were refused for too few free

@@ -97,8 +97,8 @@ pub trait SimObserver: Send {
     /// `nodes` machines for `job` through the matchmaker. Fires once per
     /// allocator call, as counted by [`RunCounters::match_attempts`] —
     /// entries whose recorded refusal still stands, and backfill
-    /// candidates with too few eligible free nodes, never reach the
-    /// allocator and are not reported.
+    /// candidates with too few free nodes, in total or in eligible pools,
+    /// never reach the allocator and are not reported.
     fn on_match_attempt(&mut self, time: Time, job: JobId, nodes: u32) {
         let _ = (time, job, nodes);
     }

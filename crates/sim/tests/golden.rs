@@ -24,6 +24,8 @@ use resmatch_workload::{Time, Workload};
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const TOTAL_NODES: u32 = 1024;
 
@@ -441,6 +443,40 @@ fn matchmaking_cluster_ads() -> (resmatch_cluster::Cluster, Vec<resmatch_classad
     (cluster, ads)
 }
 
+/// Forwards every call to `M`, its claims included, and counts `prepare`
+/// calls into a shared counter (an `Arc` because `PoolMatcher: Send`).
+struct Counting<M> {
+    inner: M,
+    prepares: Arc<AtomicU64>,
+}
+
+impl<M: PoolMatcher> PoolMatcher for Counting<M> {
+    fn prepare(&mut self, demand: &Demand) {
+        self.prepares.fetch_add(1, Ordering::Relaxed);
+        self.inner.prepare(demand);
+    }
+
+    fn matches(&mut self, pool: usize, capacity: &Capacity) -> bool {
+        self.inner.matches(pool, capacity)
+    }
+
+    fn rank(&mut self, pool: usize, capacity: &Capacity) -> f64 {
+        self.inner.rank(pool, capacity)
+    }
+
+    fn is_ranked(&self) -> bool {
+        self.inner.is_ranked()
+    }
+
+    fn demand_signature(&self) -> Option<u64> {
+        self.inner.demand_signature()
+    }
+
+    fn eligible_pools(&self) -> Option<&[u64]> {
+        self.inner.eligible_pools()
+    }
+}
+
 /// Forwards the matching calls to `M` but vouches for nothing: no demand
 /// signature and no eligibility bitset. Runs through it take the cluster's
 /// per-pool `matches` walks, the counting path without a bitset, with a
@@ -467,15 +503,16 @@ impl<M: PoolMatcher> PoolMatcher for NoClaims<M> {
 }
 
 /// Run a matchmaking scenario through the matchmaker and through
-/// [`NoClaims`] around it, and pin both runs to the same digest and the
-/// same counters: what a matcher vouches for may make counting cheaper but
-/// must not move an outcome or an allocator call. Every start is an
-/// allocator call that was granted, so `started` is `match_attempts −
-/// match_refusals`. `churn` adds [`churn_schedule`] over the workload's
-/// span.
+/// [`NoClaims`] around it, and pin both runs to the same digest, the same
+/// counters and the same number of `prepare` calls: what a matcher vouches
+/// for may make counting cheaper but must not move an outcome, an
+/// allocator call or a matcher call. Every start is an allocator call that
+/// was granted, so `started` is `match_attempts − match_refusals`. `churn`
+/// adds [`churn_schedule`] over the workload's span.
 fn check_matchmaking_pinned(
     name: &str,
     expected: u64,
+    prepares: u64,
     cfg: SimConfig,
     rank: Option<&str>,
     churn: bool,
@@ -486,16 +523,21 @@ fn check_matchmaking_pinned(
     } else {
         Vec::new()
     };
-    let counters = [false, true].map(|no_claims| {
+    let runs = [false, true].map(|no_claims| {
         let (cluster, ads) = matchmaking_cluster_ads();
         let mut mm = resmatch_classad::Matchmaker::new(&ads);
         if let Some(rank) = rank {
             mm = mm.with_rank(rank).expect("static rank expression");
         }
+        let count = Arc::new(AtomicU64::new(0));
+        let counting = Counting {
+            inner: mm,
+            prepares: Arc::clone(&count),
+        };
         let matcher: Box<dyn PoolMatcher> = if no_claims {
-            Box::new(NoClaims(mm))
+            Box::new(NoClaims(counting))
         } else {
-            Box::new(mm)
+            Box::new(counting)
         };
         let r = Simulation::new(cfg, cluster, EstimatorSpec::paper_successive())
             .with_matchmaking(matcher)
@@ -517,11 +559,19 @@ fn check_matchmaking_pinned(
             c.match_attempts - c.match_refusals,
             "{label}: every start is a granted allocator call"
         );
-        c
+        (c, count.load(Ordering::Relaxed))
     });
     assert_eq!(
-        counters[0], counters[1],
+        runs[0].0, runs[1].0,
         "{name}: the matcher's claims moved the run counters"
+    );
+    assert_eq!(
+        runs[0].1, runs[1].1,
+        "{name}: the matcher's claims moved the prepare calls"
+    );
+    assert_eq!(
+        runs[0].1, prepares,
+        "{name}: the engine's `prepare` calls moved from the pinned count"
     );
 }
 
@@ -536,6 +586,7 @@ fn golden_matchmaking_fcfs_successive_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_fcfs_successive",
         0x5e30_1bed_f86a_1b1e,
+        19_708,
         SimConfig::default(),
         None,
         false,
@@ -549,6 +600,7 @@ fn golden_matchmaking_sjf_successive_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_sjf_successive",
         0x5c01_28f4_979e_e207,
+        18_649,
         cfg,
         None,
         false,
@@ -564,6 +616,7 @@ fn golden_matchmaking_easy_successive_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_easy_successive",
         0xfc7e_a838_e815_29e6,
+        48_691,
         cfg,
         None,
         false,
@@ -578,6 +631,7 @@ fn golden_matchmaking_fcfs_ranked_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_fcfs_ranked",
         0x2111_68e7_c6fe_5a69,
+        19_697,
         SimConfig::default(),
         Some("other.Memory"),
         false,
@@ -591,6 +645,7 @@ fn golden_matchmaking_fcfs_successive_churn_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_fcfs_successive_churn",
         0xff88_5791_74eb_1e3d,
+        19_838,
         SimConfig::default(),
         None,
         true,
@@ -604,6 +659,7 @@ fn golden_matchmaking_sjf_successive_churn_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_sjf_successive_churn",
         0xc424_b024_d927_44a0,
+        19_021,
         cfg,
         None,
         true,
@@ -618,6 +674,7 @@ fn golden_matchmaking_easy_successive_churn_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_easy_successive_churn",
         0x1651_d2df_8264_df68,
+        48_838,
         cfg,
         None,
         true,
