@@ -114,12 +114,7 @@ pub fn matches(a: &ClassAd, b: &ClassAd) -> Result<bool, EvalError> {
 /// # Errors
 /// [`EvalError`] when `a`'s `Rank` fails to evaluate.
 pub fn rank(a: &ClassAd, b: &ClassAd) -> Result<f64, EvalError> {
-    Ok(match a.evaluate("rank", Some(b))? {
-        Value::Int(i) => i as f64,
-        Value::Float(f) => f,
-        Value::Bool(true) => 1.0,
-        _ => 0.0,
-    })
+    Ok(a.evaluate("rank", Some(b))?.as_rank())
 }
 
 #[cfg(test)]

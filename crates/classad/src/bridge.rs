@@ -18,17 +18,6 @@ use crate::ad::ClassAd;
 /// Number of package bits the bridge advertises as boolean attributes.
 pub const PACKAGE_BITS: u32 = 32;
 
-/// The machine-side `Requirements` text every machine ad carries. Shared
-/// with the matchmaker's specializer so the fast path and the generated
-/// ads stay textually identical by construction.
-pub(crate) const MACHINE_REQ_TEXT: &str =
-    "other.RequestedMemory <= my.Memory && other.RequestedDisk <= my.Disk";
-
-/// The job-side `Requirements` base text; [`job_ad`] appends one
-/// `&& other.HasPkgN == true` atom per set package-mask bit.
-pub(crate) const JOB_REQ_BASE_TEXT: &str =
-    "other.Memory >= my.RequestedMemory && other.Disk >= my.RequestedDisk";
-
 /// Advertise a node's capacity as a machine ad.
 ///
 /// # Panics
@@ -43,8 +32,11 @@ pub fn machine_ad(capacity: &Capacity) -> ClassAd {
         }
     }
     #[expect(clippy::expect_used, reason = "invariant: static expression parses")]
-    ad.insert_expr("Requirements", MACHINE_REQ_TEXT)
-        .expect("invariant: static expression parses");
+    ad.insert_expr(
+        "Requirements",
+        "other.RequestedMemory <= my.Memory && other.RequestedDisk <= my.Disk",
+    )
+    .expect("invariant: static expression parses");
     ad
 }
 
@@ -57,7 +49,8 @@ pub fn job_ad(demand: &Demand) -> ClassAd {
     let mut ad = ClassAd::new();
     ad.insert_int("RequestedMemory", demand.mem_kb.min(i64::MAX as u64) as i64);
     ad.insert_int("RequestedDisk", demand.disk_kb.min(i64::MAX as u64) as i64);
-    let mut requirements = String::from(JOB_REQ_BASE_TEXT);
+    let mut requirements =
+        String::from("other.Memory >= my.RequestedMemory && other.Disk >= my.RequestedDisk");
     for bit in 0..PACKAGE_BITS {
         if demand.packages & (1 << bit) != 0 {
             let _ = write!(requirements, " && other.HasPkg{bit} == true");

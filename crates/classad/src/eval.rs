@@ -6,8 +6,8 @@ use crate::ad::ClassAd;
 use crate::parser::{BinOp, Expr, Scope};
 use crate::value::Value;
 
-/// Evaluation failure (currently only recursion-depth exhaustion; type
-/// errors surface as [`Value::Error`] per `ClassAd` semantics).
+/// Evaluation failure (currently only depth exhaustion, see `MAX_DEPTH`;
+/// type errors surface as [`Value::Error`] per `ClassAd` semantics).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError {
     /// Description.
@@ -22,9 +22,13 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Cap on attribute-dereference depth: `a = b; b = a` must terminate with
-/// an error rather than recurse forever.
-const MAX_DEPTH: u32 = 64;
+/// Cap on evaluation depth, in levels: each operator and each attribute
+/// dereference costs one, so a reference cycle (`a = b; b = a`) ends in
+/// an error rather than recursing forever. It sits 64 levels above
+/// [`crate::parser::MAX_DEPTH`], so every expression the parser accepts
+/// also evaluates against the bridge's ads: their deepest dereference, a
+/// job's `Requirements` with all 34 conjuncts, adds 36 levels.
+const MAX_DEPTH: u32 = crate::parser::MAX_DEPTH + 64;
 
 /// Evaluation context: the ad being evaluated (`my`) and the candidate
 /// (`other`).
@@ -38,8 +42,8 @@ pub struct Context<'a> {
 /// Evaluate `expr` in `ctx`.
 ///
 /// # Errors
-/// [`EvalError`] when attribute references chain past the depth limit (a
-/// reference cycle).
+/// [`EvalError`] when operators and attribute dereferences nest past the
+/// depth limit (in practice, a reference cycle).
 pub fn eval(expr: &Expr, ctx: &Context<'_>) -> Result<Value, EvalError> {
     eval_depth(expr, ctx, 0)
 }
@@ -88,7 +92,9 @@ fn lookup(ctx: &Context<'_>, scope: Scope, name: &str, depth: u32) -> Result<Val
 fn eval_depth(expr: &Expr, ctx: &Context<'_>, depth: u32) -> Result<Value, EvalError> {
     if depth > MAX_DEPTH {
         return Err(EvalError {
-            message: "attribute reference cycle (depth limit exceeded)".into(),
+            message: format!(
+                "evaluation nests deeper than {MAX_DEPTH} levels (an attribute reference cycle?)"
+            ),
         });
     }
     Ok(match expr {
@@ -161,6 +167,31 @@ mod tests {
         assert_eq!(eval_str("(1 + 2) * 3", &empty, None), Value::Int(9));
         assert_eq!(eval_str("-4 / 2", &empty, None), Value::Int(-2));
         assert_eq!(eval_str("1.5 + 1", &empty, None), Value::Float(2.5));
+        assert_eq!(eval_str("!true", &empty, None), Value::Bool(false));
+    }
+
+    #[test]
+    fn the_deepest_accepted_expressions_evaluate_against_bridge_ads() {
+        use crate::bridge::{job_ad, machine_ad};
+        use resmatch_cluster::{Capacity, Demand};
+        // A job with every package bit carries the deepest bridge
+        // `Requirements`; reaching it from the parser's deepest leaf is
+        // the deepest evaluation any accepted expression can ask for.
+        let job = job_ad(&Demand::new(1, 1, u32::MAX));
+        let machine = machine_ad(&Capacity::new(2, 2, u32::MAX));
+        let ctx = Context {
+            my: &job,
+            other: Some(&machine),
+        };
+        let wrappers = crate::parser::MAX_DEPTH as usize - 1;
+        for (text, want) in [
+            // 255 negations of `true`.
+            (format!("{}Requirements", "!".repeat(wrappers)), false),
+            (vec!["Requirements"; wrappers + 1].join(" && "), true),
+        ] {
+            let expr = parse(&text).unwrap();
+            assert_eq!(eval(&expr, &ctx), Ok(Value::Bool(want)), "{}", &text[..20]);
+        }
     }
 
     #[test]

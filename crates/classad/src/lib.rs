@@ -53,7 +53,6 @@
 
 pub mod ad;
 pub mod bridge;
-pub mod compile;
 pub mod eval;
 pub mod lexer;
 pub mod matchmaker;
@@ -61,7 +60,6 @@ pub mod parser;
 pub mod value;
 
 pub use ad::{matches, rank, ClassAd};
-pub use compile::{compile, AdSchema, CompiledExpr};
 pub use eval::EvalError;
 pub use matchmaker::{Matchmaker, PoolAd};
 pub use parser::{parse, ParseError};

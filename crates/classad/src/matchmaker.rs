@@ -1,6 +1,6 @@
 //! The allocation-path matchmaker: [`Matchmaker`] implements the
-//! cluster's [`PoolMatcher`] seam on top of compiled `ClassAds`, with the
-//! expression machinery hoisted entirely out of the per-attempt loop.
+//! cluster's [`PoolMatcher`] seam over the bridge's `ClassAds`, with
+//! expression evaluation hoisted entirely out of the per-attempt loop.
 //!
 //! Three layers keep the hot path at comparator cost (DESIGN.md §12):
 //!
@@ -8,49 +8,47 @@
 //!    it is lowered once into struct-of-arrays columns plus bitset
 //!    indexes: a suffix table per sorted distinct memory/disk threshold
 //!    (`row i` = pools at or above rung `i`) and a subset bitset per
-//!    package mask seen. A canonical demand's eligibility set is then
-//!    three table lookups AND-ed together — zero expression evaluation.
-//! 2. **Program-shape specialization.** Construction parses the bridge's
-//!    `Requirements` texts and runs [`crate::compile::specialize`] over
-//!    them; when they lower to the canonical threshold conjunction
-//!    (memory ≥ m ∧ disk ≥ d ∧ package flags) the index above answers
-//!    exactly, and the per-mask `HasPkgN == true` atoms become the subset
-//!    test. If the texts ever stop lowering — or for arbitrary operator
-//!    `--constrain`/`--rank` expressions — a postfix-interpreter fallback
-//!    (`Interp`) is built lazily and evaluated once per *signature*,
-//!    never per attempt. Machine-only constraints fold into a static bit
-//!    row at build time; machine-only ranks memoize per pool for the
-//!    matcher's lifetime; demand-reading ranks memoize per (signature,
-//!    pool), evaluated only on matched pools.
+//!    package mask seen. The bridge's `Requirements` are the threshold
+//!    conjunction memory ≥ m ∧ disk ≥ d ∧ one `HasPkgN == true` atom per
+//!    mask bit on the job side, mirrored on the machine side, so a
+//!    demand's eligibility set is three table lookups AND-ed together —
+//!    zero expression evaluation.
+//! 2. **Operator expressions, evaluated once.** An operator
+//!    `--constrain`/`--rank` expression is evaluated by the tree walk
+//!    ([`crate::eval::eval`]) over per-pool machine ads built when it is
+//!    installed. One that never reads the job ad folds into a static bit
+//!    row (constraint) or a per-pool table (rank) at install time; a
+//!    job-reading one runs once per demand signature and surviving pool,
+//!    never per attempt.
 //! 3. **Demand-signature memo.** Demands are interned into signatures,
-//!    each owning its eligibility bit row. On the canonical path whole
-//!    *verdict classes* — every demand with the same rung rows and
-//!    package mask — collapse into one signature through a flat class
-//!    map, so [`PoolMatcher::prepare`] is two binary searches and a
-//!    vector read; when a verdict input reads the raw job row (fallback
-//!    interpretation, job-reading constraints/ranks) interning falls
-//!    back to one signature per raw demand. [`PoolMatcher::matches`] is
-//!    a bit test, and the allocator's counting walks read the whole row
-//!    at once via [`PoolMatcher::eligible_pools`].
-//!    [`PoolMatcher::demand_signature`] still publishes the interned id;
-//!    the simulator keys no cache on it.
+//!    each owning its eligibility bit row. Without a job-reading
+//!    expression whole *verdict classes* — every demand with the same
+//!    rung rows and package mask — collapse into one signature through a
+//!    flat class map, so [`PoolMatcher::prepare`] is two binary searches
+//!    and a vector read; a job-reading constraint or rank reads the raw
+//!    demand, so interning falls back to one signature per raw demand.
+//!    [`PoolMatcher::matches`] is a bit test, and the allocator's
+//!    counting walks read the whole row at once via
+//!    [`PoolMatcher::eligible_pools`]. [`PoolMatcher::demand_signature`]
+//!    still publishes the interned id; the simulator keys no cache on it.
 //!
-//! Matching semantics are unchanged and Condor-symmetric, exactly
-//! [`crate::ad::matches`]: the job program, the optional operator
-//! constraint, and the machine program must each evaluate to exactly
-//! `true`. Exact truth of an `&&`-conjunction is atom-wise (see
-//! [`crate::compile::ReqShape`]), which is what makes the indexed answer
-//! identical to interpreting the programs — a property the unit tests
-//! here and the `matchmaker_equiv` proptest oracle pin against the
-//! tree-walking evaluator.
+//! Matching semantics are Condor-symmetric, exactly
+//! [`crate::ad::matches`]: the job's `Requirements`, the optional
+//! operator constraint, and the machine's `Requirements` must each
+//! evaluate to exactly `true`. By [`Value::and`]'s truth table an
+//! `&&`-conjunction is exactly `true` iff every conjunct is, which is what
+//! makes the indexed answer identical to evaluating the ads — the
+//! `matchmaker_equiv` proptest pins it against the tree walk, and is the
+//! only check that the bridge texts keep that shape.
 
 use std::collections::BTreeMap;
 
 use resmatch_cluster::{Capacity, Cluster, Demand, PoolMatcher};
 
+use crate::ad::ClassAd;
 use crate::bridge;
-use crate::compile::{compile, specialize, AdSchema, CompiledExpr, SlotRef};
-use crate::parser::{parse, ParseError};
+use crate::eval::{eval, Context};
+use crate::parser::{parse, Expr, ParseError, Scope};
 use crate::value::Value;
 
 /// A pool's capability ad as the matchmaker consumes it: the per-node
@@ -79,6 +77,15 @@ impl PoolAd {
         self.arch = Some(arch.to_string());
         self
     }
+
+    /// The machine ad the bridge generates for this pool, plus `Arch`.
+    fn machine_ad(&self) -> ClassAd {
+        let mut ad = bridge::machine_ad(&self.capacity);
+        if let Some(arch) = &self.arch {
+            ad.insert_str("Arch", arch);
+        }
+        ad
+    }
 }
 
 /// The ads' integer comparison space: u64 figures clamped into i64.
@@ -86,71 +93,59 @@ fn clamp(v: u64) -> i64 {
     v.min(i64::MAX as u64) as i64
 }
 
-fn clamped(v: u64) -> Value {
-    Value::Int(clamp(v))
-}
-
-/// Slot index of `RequestedMemory` in the job schema.
-const JOB_MEM: usize = 0;
-/// Slot index of `RequestedDisk` in the job schema.
-const JOB_DISK: usize = 1;
-/// Machine-schema slots, fixed by construction order in
-/// [`Matchmaker::ensure_interp`]: `Memory`, `Disk`, `Arch`, then one
-/// `HasPkgN` per package bit.
-const MACH_MEM: usize = 0;
-const MACH_DISK: usize = 1;
-const MACH_ARCH: usize = 2;
-const MACH_PKG0: usize = 3;
-
-/// `HasPkgN` attribute names, spelled out so machine-schema construction
-/// never formats strings per bit.
-const HAS_PKG: [&str; bridge::PACKAGE_BITS as usize] = [
-    "HasPkg0", "HasPkg1", "HasPkg2", "HasPkg3", "HasPkg4", "HasPkg5", "HasPkg6", "HasPkg7",
-    "HasPkg8", "HasPkg9", "HasPkg10", "HasPkg11", "HasPkg12", "HasPkg13", "HasPkg14", "HasPkg15",
-    "HasPkg16", "HasPkg17", "HasPkg18", "HasPkg19", "HasPkg20", "HasPkg21", "HasPkg22", "HasPkg23",
-    "HasPkg24", "HasPkg25", "HasPkg26", "HasPkg27", "HasPkg28", "HasPkg29", "HasPkg30", "HasPkg31",
-];
-
 /// Interned demand key for the raw-interning path: the *raw* request
 /// figures, so key equality is exactly [`Demand`] equality and the
 /// signature guarantee holds trivially (clamping could collide distinct
 /// demands at the i64 boundary).
 type DemandKey = (u64, u64, u32);
 
-/// The lazily built interpreter fallback: dense ad rows plus compiled
-/// programs, exactly the pre-index evaluation model. Only constructed
-/// when an operator constraint/rank is installed or the bridge programs
-/// stop specializing — and even then it runs once per (signature, pool),
-/// never per match attempt.
-#[derive(Debug)]
-struct Interp {
-    job_schema: AdSchema,
-    machine_schema: AdSchema,
-    /// One slot row per pool.
-    machine_rows: Vec<Vec<Value>>,
-    /// The bridge's machine-side `Requirements` (`my` = machine,
-    /// `other` = job), used only on the fallback path.
-    machine_req: CompiledExpr,
-    /// Fallback job-side programs, one per package mask.
-    job_programs: BTreeMap<u32, CompiledExpr>,
-    /// The prepared demand's slot row.
-    job_row: Vec<Value>,
-    /// Reused evaluation stack.
-    stack: Vec<Value>,
+/// Evaluate an operator expression with `my` = the job ad and `other` =
+/// the machine ad. An [`crate::EvalError`] reads as `error`: no match,
+/// rank 0.
+fn eval_pair(expr: &Expr, job: &ClassAd, machine: &ClassAd) -> Value {
+    let ctx = Context {
+        my: job,
+        other: Some(machine),
+    };
+    eval(expr, &ctx).unwrap_or(Value::Error)
 }
 
-/// A compiled-ad matchmaker for a fixed set of pools, pluggable into
+/// Whether evaluating `expr` (`my` = job, `other` = machine) can read the
+/// job ad: a `my.` reference, an unqualified one (resolved in the job ad
+/// first), or any `Requirements` (the machine's reads `other`, the job).
+/// Anything else reads only a machine ad's literal attributes, so its
+/// value per pool is fixed for the matcher's lifetime.
+fn reads_job(expr: &Expr) -> bool {
+    match expr {
+        Expr::Attr {
+            scope: Scope::Other,
+            name,
+        } => name == "requirements",
+        Expr::Attr { .. } => true,
+        Expr::Unary { expr, .. } => reads_job(expr),
+        Expr::Binary { lhs, rhs, .. } => reads_job(lhs) || reads_job(rhs),
+        _ => false,
+    }
+}
+
+/// An installed rank expression.
+#[derive(Debug)]
+enum Rank {
+    /// Machine-only: one value per pool, evaluated at install time.
+    Static(Vec<f64>),
+    /// Job-reading: evaluated per (signature, matched pool) into
+    /// `sig_rank`.
+    PerSignature(Expr),
+}
+
+/// A `ClassAd` matchmaker for a fixed set of pools, pluggable into
 /// [`resmatch_cluster::Cluster::try_allocate_matched`] (and the simulation
 /// engine's `--matchmaking` mode) via [`PoolMatcher`].
 #[derive(Debug)]
 pub struct Matchmaker {
     // ---- layer 1: eligibility index over the fixed pool table ----
-    /// Per-pool clamped memory / disk and package bits (struct-of-arrays
-    /// columns).
-    pool_mem: Vec<i64>,
-    pool_disk: Vec<i64>,
-    pool_pkgs: Vec<u32>,
-    arches: Vec<Option<String>>,
+    /// The pool table, in cluster pool order.
+    pools: Vec<PoolAd>,
     /// Words per pool bitset row.
     words: usize,
     /// Sorted distinct clamped pool memory values.
@@ -169,31 +164,21 @@ pub struct Matchmaker {
     /// constraint verdicts, folded once at install time.
     static_bits: Vec<u64>,
 
-    // ---- layer 2: specialization outcome + interpreter fallback ----
-    /// The bridge `Requirements` failed shape recognition; signatures are
-    /// built by interpretation instead of the index.
-    fallback: bool,
-    interp: Option<Box<Interp>>,
-    /// Operator constraint conjunct (`my` = job, `other` = machine).
-    constraint: Option<CompiledExpr>,
-    /// The constraint reads the job row, so its verdicts are folded per
-    /// signature rather than into `static_bits`.
-    constraint_reads_my: bool,
-    /// Rank expression (`my` = job, `other` = machine).
-    rank: Option<CompiledExpr>,
-    /// Machine-only rank values, one per pool, memoized for the matcher's
-    /// lifetime.
-    rank_static: Option<Vec<f64>>,
-    /// The rank reads the job row, so values are memoized per
-    /// (signature, pool) in `sig_rank` instead.
-    rank_reads_my: bool,
+    // ---- layer 2: operator expressions ----
+    /// One machine ad per pool, built by the first expression installed.
+    machine_ads: Vec<ClassAd>,
+    /// Job-reading operator constraints (`my` = job, `other` = machine);
+    /// machine-only ones live in `static_bits` instead.
+    job_constraints: Vec<Expr>,
+    /// The rank expression (`my` = job, `other` = machine).
+    rank: Option<Rank>,
 
     // ---- layer 3: demand-signature memo ----
     /// Raw-demand interning, used whenever a verdict input reads the job
-    /// row itself (fallback interpretation, job-reading constraints or
-    /// ranks) and class collapse would be unsound.
+    /// ad itself (a job-reading constraint or rank) and class collapse
+    /// would be unsound.
     sig_lookup: BTreeMap<DemandKey, u32>,
-    /// Verdict-class memo for the canonical indexed path, flattened as
+    /// Verdict-class memo for the indexed path, flattened as
     /// `mask_row * class_stride + mem_row * (disk_rungs + 1) + disk_row`
     /// (`u32::MAX` = unbuilt). Every verdict input is then a pure
     /// function of that triple, so one signature serves every demand in
@@ -222,8 +207,6 @@ impl Matchmaker {
         let words = npools.div_ceil(64);
         let pool_mem: Vec<i64> = pools.iter().map(|p| clamp(p.capacity.mem_kb)).collect();
         let pool_disk: Vec<i64> = pools.iter().map(|p| clamp(p.capacity.disk_kb)).collect();
-        let pool_pkgs: Vec<u32> = pools.iter().map(|p| p.capacity.packages).collect();
-        let arches: Vec<Option<String>> = pools.iter().map(|p| p.arch.clone()).collect();
 
         let mut mem_rungs = pool_mem.clone();
         mem_rungs.sort_unstable();
@@ -241,10 +224,7 @@ impl Matchmaker {
         let class_stride = (mem_rungs.len() + 1) * (disk_rungs.len() + 1);
 
         let mut mm = Matchmaker {
-            pool_mem,
-            pool_disk,
-            pool_pkgs,
-            arches,
+            pools: pools.to_vec(),
             words,
             mem_rungs,
             mem_suffix,
@@ -253,13 +233,9 @@ impl Matchmaker {
             mask_keys: Vec::new(),
             mask_bits: Vec::new(),
             static_bits,
-            fallback: !bridge_shape_is_canonical(),
-            interp: None,
-            constraint: None,
-            constraint_reads_my: false,
+            machine_ads: Vec::new(),
+            job_constraints: Vec::new(),
             rank: None,
-            rank_static: None,
-            rank_reads_my: false,
             sig_lookup: BTreeMap::new(),
             class_map: Vec::new(),
             class_stride,
@@ -268,9 +244,6 @@ impl Matchmaker {
             last_key: None,
             active: 0,
         };
-        if mm.fallback {
-            mm.ensure_interp();
-        }
         // Warm the zero-demand signature (mask 0) so `active` always
         // addresses a valid row and a default workload never builds
         // during simulation.
@@ -293,33 +266,24 @@ impl Matchmaker {
     ///
     /// A constraint that never reads the job ad is a fixed predicate over
     /// the pool table; its verdicts fold into the static bit row here and
-    /// cost nothing afterwards. Job-reading constraints are interpreted
-    /// once per demand signature.
+    /// cost nothing afterwards. Job-reading constraints are evaluated
+    /// once per demand signature and surviving pool.
     ///
     /// # Errors
     /// Returns the parse failure for invalid expression text.
-    ///
-    /// # Panics
-    /// Never: the expression interpreter is set up just before its use.
     pub fn with_constraint(mut self, text: &str) -> Result<Self, ParseError> {
         let expr = parse(text)?;
-        self.ensure_interp();
-        #[expect(clippy::expect_used, reason = "invariant: ensure_interp just ran")]
-        let interp = self
-            .interp
-            .as_mut()
-            .expect("invariant: ensure_interp just ran");
-        let c = compile(&expr, &interp.job_schema, &interp.machine_schema);
-        if c.reads_my() {
-            self.constraint_reads_my = true;
+        self.build_machine_ads();
+        if reads_job(&expr) {
+            self.job_constraints.push(expr);
         } else {
-            for p in 0..self.pool_mem.len() {
-                if !c.eval_true(&interp.job_row, &interp.machine_rows[p], &mut interp.stack) {
+            let job = ClassAd::new();
+            for (p, machine) in self.machine_ads.iter().enumerate() {
+                if !eval_pair(&expr, &job, machine).is_true() {
                     self.static_bits[p >> 6] &= !(1 << (p & 63));
                 }
             }
         }
-        self.constraint = Some(c);
         self.reset_sigs();
         Ok(self)
     }
@@ -333,48 +297,38 @@ impl Matchmaker {
     ///
     /// # Errors
     /// Returns the parse failure for invalid expression text.
-    ///
-    /// # Panics
-    /// Never: the expression interpreter is set up just before its use.
     pub fn with_rank(mut self, text: &str) -> Result<Self, ParseError> {
         let expr = parse(text)?;
-        self.ensure_interp();
-        #[expect(clippy::expect_used, reason = "invariant: ensure_interp just ran")]
-        let interp = self
-            .interp
-            .as_mut()
-            .expect("invariant: ensure_interp just ran");
-        let r = compile(&expr, &interp.job_schema, &interp.machine_schema);
-        if r.reads_my() {
-            self.rank_reads_my = true;
+        self.build_machine_ads();
+        self.rank = Some(if reads_job(&expr) {
+            Rank::PerSignature(expr)
         } else {
-            self.rank_static = Some(
-                (0..self.pool_mem.len())
-                    .map(|p| {
-                        r.eval_rank(&interp.job_row, &interp.machine_rows[p], &mut interp.stack)
-                    })
+            let job = ClassAd::new();
+            Rank::Static(
+                self.machine_ads
+                    .iter()
+                    .map(|machine| eval_pair(&expr, &job, machine).as_rank())
                     .collect(),
-            );
-        }
-        self.rank = Some(r);
+            )
+        });
         self.reset_sigs();
         Ok(self)
     }
 
-    /// Number of distinct job-side programs lowered so far (one per
-    /// package mask seen) — observability for the per-mask cache the hot
-    /// path relies on.
-    pub fn compiled_programs(&self) -> usize {
-        self.mask_keys.len()
+    /// Build the per-pool machine ads, once: only an operator expression
+    /// evaluates them, so construction alone never pays for them.
+    fn build_machine_ads(&mut self) {
+        if self.machine_ads.len() != self.pools.len() {
+            self.machine_ads = self.pools.iter().map(PoolAd::machine_ad).collect();
+        }
     }
 
     /// Whether signatures may collapse demands per verdict class: true
-    /// when no verdict input reads the raw job row (no fallback
-    /// interpretation, no job-reading constraint or rank), so eligibility
-    /// — and any static rank — is a pure function of the demand's rung
-    /// rows and package mask.
+    /// when no verdict input reads the job ad (no job-reading constraint
+    /// or rank), so eligibility — and any static rank — is a pure
+    /// function of the demand's rung rows and package mask.
     fn class_indexed(&self) -> bool {
-        !self.fallback && !self.constraint_reads_my && !self.rank_reads_my
+        self.job_constraints.is_empty() && !matches!(self.rank, Some(Rank::PerSignature(_)))
     }
 
     /// Drop every memoized signature — called when verdict inputs change
@@ -403,8 +357,8 @@ impl Matchmaker {
         }
         let base = self.mask_bits.len();
         self.mask_bits.resize(base + self.words, 0);
-        for (p, &pkgs) in self.pool_pkgs.iter().enumerate() {
-            if mask & !pkgs == 0 {
+        for (p, pool) in self.pools.iter().enumerate() {
+            if mask & !pool.capacity.packages == 0 {
                 self.mask_bits[base + (p >> 6)] |= 1 << (p & 63);
             }
         }
@@ -412,205 +366,53 @@ impl Matchmaker {
         self.mask_keys.len() - 1
     }
 
-    /// Intern a new demand: build its eligibility row (and rank row when
-    /// ranks read the job ad), returning the new signature index.
+    /// Intern a new demand: build its eligibility row from the index, then
+    /// apply any job-reading constraint and rank against the demand's job
+    /// ad, returning the new signature index.
     fn build_sig(&mut self, demand: &Demand) -> usize {
         let base = self.sig_elig.len();
         let idx = base / self.words;
         let mask = self.mask_row(demand.packages);
-        self.sig_elig.resize(base + self.words, 0);
-        if self.fallback {
-            self.interpret_sig(demand, base);
-        } else {
-            let mrow = self
-                .mem_rungs
-                .partition_point(|&r| r < clamp(demand.mem_kb));
-            let drow = self
-                .disk_rungs
-                .partition_point(|&r| r < clamp(demand.disk_kb));
-            let w = self.words;
-            for i in 0..w {
-                self.sig_elig[base + i] = self.mem_suffix[mrow * w + i]
+        let mrow = self
+            .mem_rungs
+            .partition_point(|&r| r < clamp(demand.mem_kb));
+        let drow = self
+            .disk_rungs
+            .partition_point(|&r| r < clamp(demand.disk_kb));
+        let w = self.words;
+        for i in 0..w {
+            self.sig_elig.push(
+                self.mem_suffix[mrow * w + i]
                     & self.disk_suffix[drow * w + i]
                     & self.mask_bits[mask * w + i]
-                    & self.static_bits[i];
-            }
-            if self.constraint_reads_my {
-                self.constrain_sig(demand, base);
-            }
+                    & self.static_bits[i],
+            );
         }
-        if self.rank_reads_my {
-            self.rank_sig(demand, base);
+        if self.class_indexed() {
+            return idx;
         }
-        idx
-    }
-
-    /// Fold a job-reading constraint into a freshly indexed eligibility
-    /// row: interpret it once per surviving pool (exactly the pools the
-    /// old `&&` short-circuit would have evaluated it on).
-    fn constrain_sig(&mut self, demand: &Demand, base: usize) {
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: job-reading constraint implies interp"
-        )]
-        let interp = self
-            .interp
-            .as_mut()
-            .expect("invariant: job-reading constraint implies interp");
-        interp.job_row[JOB_MEM] = clamped(demand.mem_kb);
-        interp.job_row[JOB_DISK] = clamped(demand.disk_kb);
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: constraint_reads_my implies constraint"
-        )]
-        let c = self
-            .constraint
-            .as_ref()
-            .expect("invariant: constraint_reads_my implies constraint");
-        for p in 0..self.pool_mem.len() {
+        let job = bridge::job_ad(demand);
+        let npools = self.pools.len();
+        let rank_base = self.sig_rank.len();
+        if let Some(Rank::PerSignature(_)) = self.rank {
+            self.sig_rank.resize(rank_base + npools, 0.0);
+        }
+        for (p, machine) in self.machine_ads.iter().enumerate() {
             let word = base + (p >> 6);
             let bit = 1u64 << (p & 63);
-            if self.sig_elig[word] & bit != 0
-                && !c.eval_true(&interp.job_row, &interp.machine_rows[p], &mut interp.stack)
-            {
+            if self.sig_elig[word] & bit == 0 {
+                continue;
+            }
+            let holds = |c: &Expr| eval_pair(c, &job, machine).is_true();
+            if !self.job_constraints.iter().all(holds) {
                 self.sig_elig[word] &= !bit;
+                continue;
+            }
+            if let Some(Rank::PerSignature(r)) = &self.rank {
+                self.sig_rank[rank_base + p] = eval_pair(r, &job, machine).as_rank();
             }
         }
-    }
-
-    /// Build an eligibility row by full interpretation — the fallback for
-    /// bridge programs that stopped specializing. Runs the same three
-    /// exactly-`true` checks the pre-index matcher ran per attempt, once
-    /// per (signature, pool).
-    fn interpret_sig(&mut self, demand: &Demand, base: usize) {
-        #[expect(clippy::expect_used, reason = "invariant: fallback implies interp")]
-        let interp = self
-            .interp
-            .as_mut()
-            .expect("invariant: fallback implies interp");
-        let Interp {
-            job_schema,
-            machine_schema,
-            machine_rows,
-            machine_req,
-            job_programs,
-            job_row,
-            stack,
-        } = &mut **interp;
-        job_row[JOB_MEM] = clamped(demand.mem_kb);
-        job_row[JOB_DISK] = clamped(demand.disk_kb);
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: bridge job ads always carry Requirements"
-        )]
-        let prog = job_programs.entry(demand.packages).or_insert_with(|| {
-            // The program shape only depends on the mask; memory and disk
-            // enter as slots. Reuse the bridge's generator verbatim.
-            let ad = bridge::job_ad(&Demand::new(0, 0, demand.packages));
-            compile(
-                ad.expr("requirements")
-                    .expect("invariant: bridge job ads always carry Requirements"),
-                job_schema,
-                machine_schema,
-            )
-        });
-        let constraint = self.constraint.as_ref();
-        for (p, machine) in machine_rows.iter().enumerate() {
-            let ok = prog.eval_true(job_row, machine, stack)
-                && constraint.is_none_or(|c| c.eval_true(job_row, machine, stack))
-                && machine_req.eval_true(machine, job_row, stack);
-            if ok {
-                self.sig_elig[base + (p >> 6)] |= 1 << (p & 63);
-            }
-        }
-    }
-
-    /// Memoize a job-reading rank for a freshly built signature: evaluate
-    /// on matched pools only (the allocator ranks candidates, which are
-    /// matched by construction).
-    fn rank_sig(&mut self, demand: &Demand, elig_base: usize) {
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: job-reading rank implies interp"
-        )]
-        let interp = self
-            .interp
-            .as_mut()
-            .expect("invariant: job-reading rank implies interp");
-        interp.job_row[JOB_MEM] = clamped(demand.mem_kb);
-        interp.job_row[JOB_DISK] = clamped(demand.disk_kb);
-        #[expect(clippy::expect_used, reason = "invariant: rank_reads_my implies rank")]
-        let r = self
-            .rank
-            .as_ref()
-            .expect("invariant: rank_reads_my implies rank");
-        let npools = self.pool_mem.len();
-        let base = self.sig_rank.len();
-        self.sig_rank.resize(base + npools, 0.0);
-        for p in 0..npools {
-            if self.sig_elig[elig_base + (p >> 6)] >> (p & 63) & 1 != 0 {
-                self.sig_rank[base + p] =
-                    r.eval_rank(&interp.job_row, &interp.machine_rows[p], &mut interp.stack);
-            }
-        }
-    }
-
-    /// Build the interpreter state (schemas, machine rows, compiled
-    /// machine requirement) if not already present.
-    fn ensure_interp(&mut self) {
-        if self.interp.is_some() {
-            return;
-        }
-        let mut job_schema = AdSchema::new();
-        assert_eq!(job_schema.add("RequestedMemory") as usize, JOB_MEM);
-        assert_eq!(job_schema.add("RequestedDisk") as usize, JOB_DISK);
-        let mut machine_schema = AdSchema::new();
-        assert_eq!(machine_schema.add("Memory") as usize, MACH_MEM);
-        assert_eq!(machine_schema.add("Disk") as usize, MACH_DISK);
-        assert_eq!(machine_schema.add("Arch") as usize, MACH_ARCH);
-        for (bit, name) in HAS_PKG.iter().enumerate() {
-            assert_eq!(machine_schema.add(name) as usize, MACH_PKG0 + bit);
-        }
-        let machine_rows = (0..self.pool_mem.len())
-            .map(|p| {
-                let mut row = machine_schema.blank_row();
-                row[MACH_MEM] = Value::Int(self.pool_mem[p]);
-                row[MACH_DISK] = Value::Int(self.pool_disk[p]);
-                if let Some(arch) = &self.arches[p] {
-                    row[MACH_ARCH] = Value::Str(arch.clone());
-                }
-                for bit in 0..bridge::PACKAGE_BITS {
-                    if self.pool_pkgs[p] & (1 << bit) != 0 {
-                        row[MACH_PKG0 + bit as usize] = Value::Bool(true);
-                    }
-                }
-                row
-            })
-            .collect();
-        // Lift the machine-side Requirements off a bridge-generated ad so
-        // the fallback and the tree-walking bridge stay textually
-        // identical.
-        let machine_ad = bridge::machine_ad(&Capacity::memory(0));
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: bridge machine ads always carry Requirements"
-        )]
-        let machine_req = compile(
-            machine_ad
-                .expr("requirements")
-                .expect("invariant: bridge machine ads always carry Requirements"),
-            &machine_schema,
-            &job_schema,
-        );
-        self.interp = Some(Box::new(Interp {
-            job_row: vec![Value::Int(0); job_schema.len()],
-            job_schema,
-            machine_schema,
-            machine_rows,
-            machine_req,
-            job_programs: BTreeMap::new(),
-            stack: Vec::new(),
-        }));
+        idx
     }
 }
 
@@ -631,47 +433,6 @@ fn suffix_table(rungs: &[i64], vals: &[i64], words: usize) -> Vec<u64> {
     table
 }
 
-/// Whether the bridge's `Requirements` texts still lower to the canonical
-/// threshold shape the eligibility index implements: the job side demands
-/// machine memory/disk at or above the request, the machine side mirrors
-/// the same two thresholds (so its verdict is subsumed and needs no
-/// separate check). Per-mask package atoms are covered by
-/// [`Matchmaker::mask_row`]'s subset argument.
-fn bridge_shape_is_canonical() -> bool {
-    let mut job = AdSchema::new();
-    job.add("RequestedMemory");
-    job.add("RequestedDisk");
-    let mut machine = AdSchema::new();
-    machine.add("Memory");
-    machine.add("Disk");
-    let (Ok(job_req), Ok(mach_req)) = (
-        parse(bridge::JOB_REQ_BASE_TEXT),
-        parse(bridge::MACHINE_REQ_TEXT),
-    ) else {
-        return false;
-    };
-    let (Some(job_shape), Some(mach_shape)) = (
-        specialize(&job_req, &job, &machine),
-        specialize(&mach_req, &machine, &job),
-    ) else {
-        return false;
-    };
-    let want_job = [
-        (SlotRef::Other(0), SlotRef::My(0)),
-        (SlotRef::Other(1), SlotRef::My(1)),
-    ];
-    let want_mach = [
-        (SlotRef::My(0), SlotRef::Other(0)),
-        (SlotRef::My(1), SlotRef::Other(1)),
-    ];
-    job_shape.ge == want_job
-        && job_shape.must_true.is_empty()
-        && job_shape.eq_str.is_empty()
-        && mach_shape.ge == want_mach
-        && mach_shape.must_true.is_empty()
-        && mach_shape.eq_str.is_empty()
-}
-
 impl PoolMatcher for Matchmaker {
     fn prepare(&mut self, demand: &Demand) {
         let key = (demand.mem_kb, demand.disk_kb, demand.packages);
@@ -679,12 +440,12 @@ impl PoolMatcher for Matchmaker {
             return;
         }
         self.last_key = Some(key);
-        // Canonical indexed path: every verdict input is a pure function
-        // of (mem row, disk row, package mask), so demands collapse into
-        // verdict classes and the memo probe is a vector read. The
-        // `i64::MAX` guard keeps clamping lossless — above it, distinct
-        // demands could clamp into one class while a pool's raw capacity
-        // still separated them under `Capacity::satisfies`.
+        // Indexed path: every verdict input is a pure function of (mem
+        // row, disk row, package mask), so demands collapse into verdict
+        // classes and the memo probe is a vector read. The `i64::MAX`
+        // guard keeps clamping lossless — above it, distinct demands
+        // could clamp into one class while a pool's raw capacity still
+        // separated them under `Capacity::satisfies`.
         if self.class_indexed()
             && i64::try_from(demand.mem_kb).is_ok()
             && i64::try_from(demand.disk_kb).is_ok()
@@ -724,13 +485,11 @@ impl PoolMatcher for Matchmaker {
     }
 
     fn rank(&mut self, pool: usize, _capacity: &Capacity) -> f64 {
-        if let Some(r) = &self.rank_static {
-            return r[pool];
+        match &self.rank {
+            Some(Rank::Static(r)) => r[pool],
+            Some(Rank::PerSignature(_)) => self.sig_rank[self.active * self.pools.len() + pool],
+            None => 0.0,
         }
-        if self.rank_reads_my {
-            return self.sig_rank[self.active * self.pool_mem.len() + pool];
-        }
-        0.0
     }
 
     fn is_ranked(&self) -> bool {
@@ -792,13 +551,45 @@ mod tests {
     }
 
     #[test]
-    fn job_programs_are_cached_per_package_mask() {
+    fn package_masks_are_lowered_once_each() {
         let mut mm = Matchmaker::new(&pools());
-        assert_eq!(mm.compiled_programs(), 1); // mask 0 precompiled
+        assert_eq!(mm.mask_keys.len(), 1); // mask 0, from the warm signature
         for mask in [0, 0b01, 0b01, 0b11, 0] {
             mm.prepare(&Demand::new(MB, 0, mask));
         }
-        assert_eq!(mm.compiled_programs(), 3);
+        assert_eq!(mm.mask_keys, [0, 0b01, 0b11]);
+        // Only an installed expression builds machine ads.
+        assert!(mm.machine_ads.is_empty());
+    }
+
+    #[test]
+    fn reads_job_is_sound_under_tree_walk_scoping() {
+        let reads = |text: &str| reads_job(&parse(text).unwrap());
+        assert!(!reads("other.Memory > 100"));
+        assert!(!reads("other.Arch == \"x86\" && !other.HasPkg3"));
+        assert!(reads("other.Memory >= my.RequestedMemory"));
+        // Unqualified names resolve in the job ad first, even ones the
+        // job ad lacks today.
+        assert!(reads("RequestedMemory"));
+        assert!(reads("Nope + 1"));
+        // A machine's `Requirements` reads `other`, the job.
+        assert!(reads("other.Requirements"));
+        assert!(reads("0 - (other.Memory + other.Requirements)"));
+    }
+
+    #[test]
+    fn long_machine_only_conjunction_folds_exactly() {
+        // 70 conjuncts nest 71 levels deep; an evaluator capped below
+        // that would error on every pool and so refuse them all.
+        let text = vec!["other.Memory > 0"; 70].join(" && ");
+        let ads = [
+            PoolAd::new(Capacity::memory(0)),
+            PoolAd::new(Capacity::memory(32 * MB)),
+        ];
+        let mut mm = Matchmaker::new(&ads).with_constraint(&text).unwrap();
+        mm.prepare(&Demand::new(0, 0, 0));
+        assert!(!mm.matches(0, &ads[0].capacity));
+        assert!(mm.matches(1, &ads[1].capacity));
     }
 
     #[test]
@@ -821,7 +612,7 @@ mod tests {
 
     #[test]
     fn job_reading_constraint_is_folded_per_signature() {
-        // Reads the job row, so it cannot fold into the static bits —
+        // Reads the job ad, so it cannot fold into the static bits —
         // each demand signature re-evaluates it.
         let mut mm = Matchmaker::new(&pools())
             .with_constraint("my.RequestedMemory * 2 <= other.Memory")
@@ -836,6 +627,14 @@ mod tests {
         assert!(mm.matches(1, &pools()[1].capacity));
         // Revisiting a signature serves the memo, same verdicts.
         mm.prepare(&tight);
+        assert!(!mm.matches(1, &pools()[1].capacity));
+        // A second job-reading constraint conjoins with the first: for
+        // `tight` each alone admits one pool, both together neither.
+        let mut mm = mm
+            .with_constraint("my.RequestedMemory * 2 >= other.Memory")
+            .unwrap();
+        mm.prepare(&tight);
+        assert!(!mm.matches(0, &pools()[0].capacity));
         assert!(!mm.matches(1, &pools()[1].capacity));
     }
 
@@ -891,29 +690,6 @@ mod tests {
                 }
                 let want = (clamp(pool.capacity.mem_kb) - clamp(demand.mem_kb)) as f64;
                 assert_eq!(mm.rank(i, &pool.capacity), want, "pool {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn interpreter_fallback_agrees_with_the_index() {
-        // Force the fallback path (as if the bridge texts stopped
-        // specializing) and check it reproduces the indexed verdicts.
-        let mut indexed = Matchmaker::new(&pools());
-        let mut interpreted = Matchmaker::new(&pools());
-        assert!(!interpreted.fallback, "bridge shape should specialize");
-        interpreted.fallback = true;
-        interpreted.ensure_interp();
-        interpreted.reset_sigs();
-        for demand in demands() {
-            indexed.prepare(&demand);
-            interpreted.prepare(&demand);
-            for (i, pool) in pools().iter().enumerate() {
-                assert_eq!(
-                    indexed.matches(i, &pool.capacity),
-                    interpreted.matches(i, &pool.capacity),
-                    "pool {i}, demand {demand:?}"
-                );
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Recursive-descent parser producing the expression AST.
+//! Precedence-climbing parser producing the expression AST.
 //!
 //! Grammar (usual precedence, loosest first):
 //!
@@ -8,8 +8,8 @@
 //! cmp    := sum ( ('<'|'<='|'>'|'>='|'=='|'!=') sum )?
 //! sum    := term ( ('+'|'-') term )*
 //! term   := unary ( ('*'|'/') unary )*
-//! unary  := ('!'|'-') unary | atom
-//! atom   := literal | ref | '(' or ')'
+//! unary  := ('!'|'-') unary | '(' or ')' | atom
+//! atom   := literal | ref
 //! ref    := [ ('my'|'other') '.' ] ident
 //! ```
 
@@ -120,9 +120,66 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest expression [`parse`] accepts, in levels: each binary operator
+/// (a chain such as `a && b && c` nests left-deep, one level per
+/// operator), unary operator and parenthesised group counts one, and so
+/// does the leaf. The parser, the evaluator and `Drop` each recurse once
+/// per level, so the bound keeps all three well inside a thread's stack.
+pub const MAX_DEPTH: u32 = 256;
+
+/// A parsed subtree and its depth in [`MAX_DEPTH`]'s levels.
+type Node = (Expr, u32);
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Unary operators and parenthesised groups open around the current
+    /// position; checked on the way down, before the recursion they cost.
+    open: u32,
+}
+
+/// The depth one level above a subtree `depth` deep, within
+/// [`MAX_DEPTH`].
+fn above(depth: u32) -> Result<u32, ParseError> {
+    if depth < MAX_DEPTH {
+        Ok(depth + 1)
+    } else {
+        Err(ParseError {
+            message: format!("expression nests deeper than {MAX_DEPTH} levels"),
+        })
+    }
+}
+
+fn join(op: BinOp, (lhs, l): Node, (rhs, r): Node) -> Result<Node, ParseError> {
+    let expr = Expr::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
+    };
+    Ok((expr, above(l.max(r))?))
+}
+
+/// Precedence of the comparison operators, the one level that does not
+/// chain.
+const CMP: u8 = 2;
+
+/// The binary operator `t` spells, with its precedence (loosest 0).
+fn binop(t: &Token) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Token::OrOr => (BinOp::Or, 0),
+        Token::AndAnd => (BinOp::And, 1),
+        Token::Lt => (BinOp::Lt, CMP),
+        Token::Le => (BinOp::Le, CMP),
+        Token::Gt => (BinOp::Gt, CMP),
+        Token::Ge => (BinOp::Ge, CMP),
+        Token::EqEq => (BinOp::Eq, CMP),
+        Token::Ne => (BinOp::Ne, CMP),
+        Token::Plus => (BinOp::Add, 3),
+        Token::Minus => (BinOp::Sub, 3),
+        Token::Star => (BinOp::Mul, 4),
+        Token::Slash => (BinOp::Div, 4),
+        _ => return None,
+    })
 }
 
 impl Parser {
@@ -147,162 +204,114 @@ impl Parser {
         }
     }
 
-    fn or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and()?;
-        while self.eat(&Token::OrOr) {
-            let rhs = self.and()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp()?;
-        while self.eat(&Token::AndAnd) {
-            let rhs = self.cmp()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.sum()?;
-        let op = match self.peek() {
-            Some(Token::Lt) => BinOp::Lt,
-            Some(Token::Le) => BinOp::Le,
-            Some(Token::Gt) => BinOp::Gt,
-            Some(Token::Ge) => BinOp::Ge,
-            Some(Token::EqEq) => BinOp::Eq,
-            Some(Token::Ne) => BinOp::Ne,
-            _ => return Ok(lhs),
-        };
-        self.pos += 1;
-        let rhs = self.sum()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
-    }
-
-    fn sum(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.term()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.term()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn term(&mut self) -> Result<Expr, ParseError> {
+    /// The grammar's binary levels from precedence `min` up, by
+    /// precedence climbing: each level is a left-associative loop whose
+    /// right operands climb one level, except that a comparison takes a
+    /// `sum` on each side and never another comparison.
+    fn binary(&mut self, min: u8) -> Result<Node, ParseError> {
         let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                _ => break,
-            };
+        while let Some((op, prec)) = self.peek().and_then(binop) {
+            if prec < min {
+                break;
+            }
             self.pos += 1;
-            let rhs = self.unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            let rhs = self.binary(prec + 1)?;
+            lhs = join(op, lhs, rhs)?;
+            if prec == CMP && self.peek().and_then(binop).is_some_and(|(_, p)| p == CMP) {
+                return Err(ParseError {
+                    message: "comparisons do not chain".into(),
+                });
+            }
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Token::Bang) {
-            return Ok(Expr::Unary {
-                logical: true,
-                expr: Box::new(self.unary()?),
-            });
-        }
-        if self.eat(&Token::Minus) {
-            return Ok(Expr::Unary {
-                logical: false,
-                expr: Box::new(self.unary()?),
-            });
-        }
-        self.atom()
+    /// One level of nesting (a unary operand or a parenthesised group)
+    /// parsed by `inner`.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Parser) -> Result<Node, ParseError>,
+    ) -> Result<Node, ParseError> {
+        self.open = above(self.open)?;
+        let (expr, depth) = inner(self)?;
+        self.open -= 1;
+        Ok((expr, above(depth)?))
     }
 
-    fn atom(&mut self) -> Result<Expr, ParseError> {
-        match self.next() {
-            Some(Token::Int(i)) => Ok(Expr::Int(i)),
-            Some(Token::Float(x)) => Ok(Expr::Float(x)),
-            Some(Token::Str(s)) => Ok(Expr::Str(s)),
+    fn unary(&mut self) -> Result<Node, ParseError> {
+        let logical = match self.peek() {
+            Some(Token::Bang) => true,
+            Some(Token::Minus) => false,
             Some(Token::LParen) => {
-                let e = self.or()?;
+                self.pos += 1;
+                let node = self.nested(|p| p.binary(0))?;
                 if !self.eat(&Token::RParen) {
                     return Err(ParseError {
                         message: "expected ')'".into(),
                     });
                 }
-                Ok(e)
+                return Ok(node);
             }
+            _ => return self.atom(),
+        };
+        self.pos += 1;
+        let (expr, depth) = self.nested(Parser::unary)?;
+        let expr = Expr::Unary {
+            logical,
+            expr: Box::new(expr),
+        };
+        Ok((expr, depth))
+    }
+
+    fn atom(&mut self) -> Result<Node, ParseError> {
+        let leaf = match self.next() {
+            Some(Token::Int(i)) => Expr::Int(i),
+            Some(Token::Float(x)) => Expr::Float(x),
+            Some(Token::Str(s)) => Expr::Str(s),
             Some(Token::Ident(name)) => {
                 let lower = name.to_ascii_lowercase();
                 match lower.as_str() {
-                    "true" => return Ok(Expr::Bool(true)),
-                    "false" => return Ok(Expr::Bool(false)),
-                    "undefined" => return Ok(Expr::Undefined),
-                    "error" => return Ok(Expr::Error),
-                    _ => {}
+                    "true" => Expr::Bool(true),
+                    "false" => Expr::Bool(false),
+                    "undefined" => Expr::Undefined,
+                    "error" => Expr::Error,
+                    "my" | "other" if self.eat(&Token::Dot) => {
+                        let attr = match self.next() {
+                            Some(Token::Ident(a)) => a.to_ascii_lowercase(),
+                            other => {
+                                return Err(ParseError {
+                                    message: format!("expected attribute after '.', got {other:?}"),
+                                })
+                            }
+                        };
+                        let scope = if lower == "my" {
+                            Scope::My
+                        } else {
+                            Scope::Other
+                        };
+                        Expr::Attr { scope, name: attr }
+                    }
+                    _ => Expr::Attr {
+                        scope: Scope::Either,
+                        name: lower,
+                    },
                 }
-                if (lower == "my" || lower == "other") && self.eat(&Token::Dot) {
-                    let attr = match self.next() {
-                        Some(Token::Ident(a)) => a.to_ascii_lowercase(),
-                        other => {
-                            return Err(ParseError {
-                                message: format!("expected attribute after '.', got {other:?}"),
-                            })
-                        }
-                    };
-                    let scope = if lower == "my" {
-                        Scope::My
-                    } else {
-                        Scope::Other
-                    };
-                    return Ok(Expr::Attr { scope, name: attr });
-                }
-                Ok(Expr::Attr {
-                    scope: Scope::Either,
-                    name: lower,
+            }
+            other => {
+                return Err(ParseError {
+                    message: format!("unexpected token {other:?}"),
                 })
             }
-            other => Err(ParseError {
-                message: format!("unexpected token {other:?}"),
-            }),
-        }
+        };
+        Ok((leaf, 1))
     }
 }
 
 /// Parse an expression string.
 ///
 /// # Errors
-/// [`ParseError`] for a lexing failure, empty input, or tokens that do not
-/// form one expression.
+/// [`ParseError`] for a lexing failure, empty input, tokens that do not
+/// form one expression, or a tree deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
     if tokens.is_empty() {
@@ -310,8 +319,12 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
             message: "empty expression".into(),
         });
     }
-    let mut p = Parser { tokens, pos: 0 };
-    let expr = p.or()?;
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+    };
+    let (expr, _) = p.binary(0)?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
             message: format!("trailing tokens starting at {:?}", p.tokens[p.pos]),
@@ -405,6 +418,36 @@ mod tests {
         assert!(parse("(1").is_err());
         assert!(parse("1 2").unwrap_err().message.contains("trailing"));
         assert!(parse("my.").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        for text in [
+            format!("{}true{}", "(".repeat(200_000), ")".repeat(200_000)),
+            format!("{}true", "!".repeat(200_000)),
+            vec!["1"; 1_000_000].join("&&"),
+        ] {
+            let err = parse(&text).unwrap_err();
+            assert!(err.message.contains("deeper than 256"), "{}", err.message);
+        }
+    }
+
+    #[test]
+    fn the_depth_bound_counts_chains_unary_operators_and_parentheses() {
+        // The leaf is one level, so 255 wrappers reach the bound exactly.
+        let n = MAX_DEPTH as usize - 1;
+        let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        let bangs = |n: usize| format!("{}a", "!".repeat(n));
+        let chain = |n: usize| vec!["a"; n + 1].join(" && ");
+        for build in [parens, bangs, chain] {
+            assert!(parse(&build(n)).is_ok(), "{n} levels");
+            assert!(parse(&build(n + 1)).is_err(), "{} levels", n + 1);
+        }
+        // Levels add up across kinds: a 200-term chain inside 57
+        // parentheses is one level too deep.
+        let mixed = |groups: usize| parens(groups).replace('a', &chain(199));
+        assert!(parse(&mixed(56)).is_ok());
+        assert!(parse(&mixed(57)).is_err());
     }
 
     #[test]

@@ -177,6 +177,16 @@ impl Value {
     pub fn is_true(&self) -> bool {
         matches!(self, Value::Bool(true))
     }
+
+    /// This value as a `Rank`: numbers as themselves, `true` as 1 and
+    /// anything else 0 (Condor's convention). [`crate::ad::rank`] and the
+    /// matchmaker's rank rows both coerce through it.
+    pub(crate) fn as_rank(&self) -> f64 {
+        match self {
+            Value::Bool(true) => 1.0,
+            _ => self.as_f64().unwrap_or(0.0),
+        }
+    }
 }
 
 impl fmt::Display for Value {

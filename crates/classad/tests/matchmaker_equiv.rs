@@ -1,16 +1,16 @@
 //! Property test: the indexed [`Matchmaker`] is *extensionally equal* to
-//! the tree-walking ClassAd evaluator it replaced. For random pool
-//! tables (capacities, arch tags), demand streams, and operator
-//! constraint/rank expressions — machine-only and job-reading alike —
-//! every per-pool verdict, every rank on a matched pool, and every
-//! published eligibility bit must agree with evaluating the generated
-//! ads directly via [`resmatch_classad::matches`]/[`resmatch_classad::rank`].
+//! the tree-walking ClassAd evaluator. For random pool tables
+//! (capacities, arch tags), demand streams, and operator constraint/rank
+//! expressions — machine-only and job-reading alike — every per-pool
+//! verdict, every rank on a matched pool, and every published eligibility
+//! bit must agree with evaluating the generated ads directly via
+//! [`resmatch_classad::matches`]/[`resmatch_classad::rank`].
 //!
-//! This is the oracle that licenses the bitset/specialization layers: the
-//! index never answers a question differently from the ads themselves.
-//! (The private interpreter fallback is pinned against the index by the
-//! `interpreter_fallback_agrees_with_the_index` unit test, which can
-//! reach the flag the bridge texts never trip in practice.)
+//! This is the oracle that licenses the bitset index: the index never
+//! answers a question differently from the ads themselves. It is also the
+//! only check that the bridge's `Requirements` keep the canonical
+//! threshold shape the index implements (memory and disk thresholds plus
+//! one package flag per mask bit); nothing re-checks it at run time.
 
 use proptest::prelude::*;
 use resmatch_classad::bridge::{job_ad, machine_ad};
@@ -93,21 +93,28 @@ fn oracle_rank(job: &ClassAd, machine: &ClassAd, text: &str) -> f64 {
 }
 
 /// Constraint templates: none, machine-only (foldable into the static bit
-/// row), and job-reading (per-signature interpretation).
-const CONSTRAINTS: [Option<&str>; 5] = [
+/// row), and job-reading (evaluated per signature). `Requirements`
+/// references and unqualified names read the job ad under the tree
+/// walk's scoping, so they must not be folded as machine-only.
+const CONSTRAINTS: [Option<&str>; 8] = [
     None,
     Some("other.Memory >= 8192"),
     Some("other.Arch == \"x86\""),
     Some("my.RequestedMemory * 2 <= other.Memory"),
     Some("my.RequestedDisk <= other.Disk && other.Memory > 0"),
+    Some("other.Requirements"),
+    Some("Requirements && Memory > 8192"),
+    Some("RequestedMemory * 2 <= Memory"),
 ];
 
 /// Rank templates: none, machine-only (per-pool memo), job-reading
 /// (per-signature memo on matched pools).
-const RANKS: [Option<&str>; 3] = [
+const RANKS: [Option<&str>; 5] = [
     None,
     Some("other.Memory"),
     Some("other.Memory - my.RequestedMemory"),
+    Some("other.Requirements"),
+    Some("Memory - RequestedMemory"),
 ];
 
 proptest! {

@@ -68,8 +68,9 @@ fn estimator_from(args: &Args) -> CliResult<EstimatorSpec> {
 }
 
 /// Build the `--matchmaking` layer: pool ads from the cluster spec, plus
-/// the operator's `--constrain` / `--rank` expressions, compiled up front
-/// so a typo fails the command instead of the first allocation.
+/// the operator's `--constrain` / `--rank` expressions, parsed and
+/// evaluated against the pool ads up front so a typo fails the command
+/// instead of the first allocation.
 fn matchmaker_from(args: &Args, ads: &[PoolAd]) -> CliResult<Matchmaker> {
     let mut mm = Matchmaker::new(ads);
     if let Some(text) = args.get("constrain") {

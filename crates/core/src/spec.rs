@@ -60,6 +60,10 @@ impl EstimatorSpec {
     }
 
     /// Instantiate for a cluster with the given capacity ladder.
+    ///
+    /// # Panics
+    /// Panics when [`EstimatorSpec::params_in_range`] is false: each
+    /// estimator's constructor asserts its parameter ranges.
     pub fn build(&self, ladder: &CapacityLadder) -> Box<dyn ResourceEstimator> {
         match *self {
             EstimatorSpec::PassThrough => Box::new(PassThrough),
@@ -154,21 +158,41 @@ impl EstimatorSpec {
         }
     }
 
-    /// Whether every Algorithm-1 (α, β) this spec carries lies where
-    /// Algorithm 1 is defined: a finite α > 1 and 0 ≤ β < 1. The estimator
-    /// constructors panic outside these ranges, so [`FromStr`], the
-    /// simulator's builder and the estimator service check them first.
-    /// Specs outside the family carry none and pass.
+    /// Whether every parameter [`EstimatorSpec::build`]'s constructors
+    /// assert on lies in range: each Algorithm-1 (α, β) this spec carries
+    /// is a finite α > 1 and 0 ≤ β < 1; robust bisection's tolerance
+    /// exceeds 1; a quantile lies in (0, 1]; windows, observation and
+    /// sample counts are at least 1; and margins, safety factors and the
+    /// warm start's prior headroom are at least 1. The constructors panic
+    /// outside these ranges, so [`FromStr`], the simulator's builder and
+    /// the estimator service check them first.
     pub fn params_in_range(&self) -> bool {
-        let in_range =
+        let algorithm1 =
             |alpha: f64, beta: f64| alpha.is_finite() && alpha > 1.0 && (0.0..1.0).contains(&beta);
+        let successive = |c: &SuccessiveConfig| algorithm1(c.alpha, c.beta);
+        let regression = |c: &RegressionConfig| c.safety_factor >= 1.0 && c.min_samples >= 1;
         match self {
+            EstimatorSpec::PassThrough
+            | EstimatorSpec::Oracle
+            | EstimatorSpec::Reinforcement(_) => true,
+            EstimatorSpec::Successive(c) => successive(c),
+            EstimatorSpec::Adaptive(c) => successive(&c.successive),
             EstimatorSpec::PerResource(c) => {
-                in_range(c.memory.alpha, c.memory.beta) && in_range(c.disk_alpha, c.disk_beta)
+                successive(&c.memory) && algorithm1(c.disk_alpha, c.disk_beta)
             }
-            _ => self
-                .successive_params()
-                .is_none_or(|(alpha, beta)| in_range(alpha, beta)),
+            EstimatorSpec::WarmStart(c) => {
+                successive(&c.successive) && regression(&c.regression) && c.prior_headroom >= 1.0
+            }
+            EstimatorSpec::Regression(c) => regression(c),
+            EstimatorSpec::Robust(c) => c.tolerance > 1.0,
+            EstimatorSpec::LastInstance(c) => c.window >= 1 && c.margin >= 1.0,
+            EstimatorSpec::Quantile(c) => {
+                c.quantile > 0.0
+                    && c.quantile <= 1.0
+                    && c.window >= 1
+                    && c.margin >= 1.0
+                    && c.min_observations >= 1
+            }
         }
     }
 
@@ -425,6 +449,72 @@ mod tests {
             ..PerResourceConfig::default()
         };
         assert!(!EstimatorSpec::PerResource(cfg).params_in_range());
+        // Every family's defaults are in range; one spec per constructor
+        // assert that `build` can reach is out of range and does panic.
+        for name in EstimatorSpec::NAMES {
+            let spec: EstimatorSpec = name.parse().unwrap();
+            assert!(spec.params_in_range(), "{name}");
+        }
+        for spec in out_of_range_specs() {
+            assert!(!spec.params_in_range(), "{spec:?}");
+            let built = std::panic::catch_unwind(|| spec.build(&ladder()));
+            assert!(built.is_err(), "{spec:?} built without panicking");
+        }
+    }
+
+    /// One spec per constructor assert that `build` can reach.
+    fn out_of_range_specs() -> Vec<EstimatorSpec> {
+        let robust = |tolerance| {
+            EstimatorSpec::Robust(RobustConfig {
+                tolerance,
+                ..RobustConfig::default()
+            })
+        };
+        let regression = |safety_factor, min_samples| RegressionConfig {
+            safety_factor,
+            min_samples,
+            ..RegressionConfig::default()
+        };
+        let warm = |prior_headroom, regression| {
+            EstimatorSpec::WarmStart(WarmStartConfig {
+                prior_headroom,
+                regression,
+                ..WarmStartConfig::default()
+            })
+        };
+        let quantile = |quantile, window, margin, min_observations| {
+            EstimatorSpec::Quantile(QuantileConfig {
+                quantile,
+                window,
+                margin,
+                min_observations,
+                ..QuantileConfig::default()
+            })
+        };
+        let last = |window, margin| {
+            EstimatorSpec::LastInstance(LastInstanceConfig {
+                window,
+                margin,
+                ..LastInstanceConfig::default()
+            })
+        };
+        vec![
+            robust(1.0),
+            robust(f64::NAN),
+            warm(0.5, RegressionConfig::default()),
+            warm(2.0, regression(0.5, 50)),
+            warm(2.0, regression(1.25, 0)),
+            EstimatorSpec::WarmStart(WarmStartConfig::default()).with_alpha_beta(1.0, 0.0),
+            quantile(0.0, 32, 1.1, 3),
+            quantile(1.5, 32, 1.1, 3),
+            quantile(1.0, 0, 1.1, 3),
+            quantile(1.0, 32, 0.5, 3),
+            quantile(1.0, 32, 1.1, 0),
+            last(0, 1.0),
+            last(1, 0.5),
+            EstimatorSpec::Regression(regression(0.5, 50)),
+            EstimatorSpec::Regression(regression(1.25, 0)),
+        ]
     }
 
     #[test]

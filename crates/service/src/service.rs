@@ -183,12 +183,14 @@ impl EstimatorService {
     ///
     /// # Errors
     /// [`ServiceError::Config`] when `shards` or `feedback_batch` is zero,
-    /// or when the spec's α/β lie outside Algorithm 1's ranges
+    /// or when the spec's parameters lie outside the ranges its
+    /// estimator's constructor accepts
     /// ([`EstimatorSpec::params_in_range`]).
     pub fn new(cfg: &ServiceConfig) -> Result<Self, ServiceError> {
         if !cfg.spec.params_in_range() {
             return Err(ServiceError::Config {
-                detail: "estimator alpha must be finite and above 1, beta in [0, 1)",
+                detail: "estimator parameters out of range (alpha must be finite and above 1, \
+                         beta in [0, 1); see EstimatorSpec::params_in_range)",
             });
         }
         if cfg.shards == 0 {
@@ -360,11 +362,39 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_alpha_is_a_config_error() {
-        let spec = EstimatorSpec::paper_successive().with_alpha_beta(1.0, 0.0);
-        let err = EstimatorService::new(&ServiceConfig::new(spec, ladder())).unwrap_err();
-        assert!(matches!(err, ServiceError::Config { .. }), "{err:?}");
-        assert!(err.to_string().contains("alpha"), "{err}");
+    fn out_of_range_params_are_a_config_error() {
+        use resmatch_core::{
+            LastInstanceConfig, QuantileConfig, RegressionConfig, RobustConfig, WarmStartConfig,
+        };
+        // One spec per family whose constructor `EstimatorSpec::build`
+        // would panic on.
+        for spec in [
+            EstimatorSpec::paper_successive().with_alpha_beta(1.0, 0.0),
+            EstimatorSpec::Robust(RobustConfig {
+                tolerance: 1.0,
+                ..RobustConfig::default()
+            }),
+            EstimatorSpec::WarmStart(WarmStartConfig {
+                prior_headroom: 0.5,
+                ..WarmStartConfig::default()
+            }),
+            EstimatorSpec::Quantile(QuantileConfig {
+                quantile: 0.0,
+                ..QuantileConfig::default()
+            }),
+            EstimatorSpec::LastInstance(LastInstanceConfig {
+                window: 0,
+                ..LastInstanceConfig::default()
+            }),
+            EstimatorSpec::Regression(RegressionConfig {
+                safety_factor: 0.5,
+                ..RegressionConfig::default()
+            }),
+        ] {
+            let err = EstimatorService::new(&ServiceConfig::new(spec, ladder())).unwrap_err();
+            assert!(matches!(err, ServiceError::Config { .. }), "{err:?}");
+            assert!(err.to_string().contains("out of range"), "{err}");
+        }
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub enum SimError {
     /// Neither [`SimulationBuilder::estimator`] nor
     /// [`SimulationBuilder::boxed_estimator`] was called.
     MissingEstimator,
-    /// The estimator spec's α/β lie outside Algorithm 1's ranges
-    /// ([`EstimatorSpec::params_in_range`]).
+    /// The estimator spec's parameters lie outside the ranges its
+    /// constructor accepts ([`EstimatorSpec::params_in_range`]).
     EstimatorParamsOutOfRange,
 }
 
@@ -67,7 +67,8 @@ impl fmt::Display for SimError {
             }
             SimError::EstimatorParamsOutOfRange => write!(
                 f,
-                "simulation builder: estimator alpha must be finite and above 1, beta in [0, 1)"
+                "simulation builder: estimator parameters out of range (alpha must be finite \
+                 and above 1, beta in [0, 1); see EstimatorSpec::params_in_range)"
             ),
         }
     }
@@ -169,8 +170,8 @@ impl SimulationBuilder {
     /// # Errors
     /// [`SimError::MissingCluster`] or [`SimError::MissingEstimator`]
     /// when a required component was never supplied, and
-    /// [`SimError::EstimatorParamsOutOfRange`] for a spec whose α/β
-    /// [`Simulation::new`] would panic on.
+    /// [`SimError::EstimatorParamsOutOfRange`] for a spec whose
+    /// parameters [`Simulation::new`] would panic on.
     pub fn build(self) -> Result<Simulation, SimError> {
         let cluster = self.cluster.ok_or(SimError::MissingCluster)?;
         let sim = match self.estimator.ok_or(SimError::MissingEstimator)? {
@@ -215,13 +216,45 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_alpha_is_reported() {
-        let spec = EstimatorSpec::paper_successive().with_alpha_beta(1.0, 0.0);
-        let built = Simulation::builder()
-            .cluster(cluster())
-            .estimator(spec)
-            .build();
-        assert_eq!(built.err(), Some(SimError::EstimatorParamsOutOfRange));
+    fn out_of_range_params_are_reported() {
+        use resmatch_core::{
+            LastInstanceConfig, QuantileConfig, RegressionConfig, RobustConfig, WarmStartConfig,
+        };
+        // One spec per family whose constructor `Simulation::new` would
+        // panic on.
+        for spec in [
+            EstimatorSpec::paper_successive().with_alpha_beta(1.0, 0.0),
+            EstimatorSpec::Robust(RobustConfig {
+                tolerance: 1.0,
+                ..RobustConfig::default()
+            }),
+            EstimatorSpec::WarmStart(WarmStartConfig {
+                prior_headroom: 0.5,
+                ..WarmStartConfig::default()
+            }),
+            EstimatorSpec::Quantile(QuantileConfig {
+                quantile: 0.0,
+                ..QuantileConfig::default()
+            }),
+            EstimatorSpec::LastInstance(LastInstanceConfig {
+                window: 0,
+                ..LastInstanceConfig::default()
+            }),
+            EstimatorSpec::Regression(RegressionConfig {
+                safety_factor: 0.5,
+                ..RegressionConfig::default()
+            }),
+        ] {
+            let built = Simulation::builder()
+                .cluster(cluster())
+                .estimator(spec)
+                .build();
+            assert_eq!(
+                built.err(),
+                Some(SimError::EstimatorParamsOutOfRange),
+                "{spec:?}"
+            );
+        }
     }
 
     #[test]

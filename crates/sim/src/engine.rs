@@ -360,7 +360,8 @@ impl Simulation {
     /// capacity ladder).
     ///
     /// # Panics
-    /// Panics when the spec's α/β lie outside Algorithm 1's ranges
+    /// Panics when the spec's parameters lie outside the ranges its
+    /// estimator's constructor accepts
     /// ([`EstimatorSpec::params_in_range`]); [`Simulation::builder`]
     /// reports them as an error instead.
     pub fn new(cfg: SimConfig, cluster: Cluster, spec: EstimatorSpec) -> Self {

@@ -28,8 +28,8 @@
 //!   Kolmogorov–Smirnov test used throughout;
 //! - [`classad`] — a miniature Condor-style ClassAd matchmaking language
 //!   (the declarative substrate the paper's related work builds on), with
-//!   a bridge proving it matches exactly like the native matcher and a
-//!   compiled [`classad::Matchmaker`] that plugs straight into the
+//!   a bridge proving it matches exactly like the native matcher and an
+//!   indexed [`classad::Matchmaker`] that plugs straight into the
 //!   simulator's allocation path (`Simulation::with_matchmaking`).
 //!
 //! # Quickstart
