@@ -293,16 +293,35 @@ mod tests {
         hashes.dedup();
         assert_eq!(hashes.len(), keys.len(), "distinct keys must not collide");
 
-        // The value is part of the golden-reproducibility surface: equal
-        // keys hash equally in every run on every platform.
-        assert_eq!(
-            SimilarityPolicy::UserAppRequest
-                .key(&job(1, 2, 100))
-                .stable_hash(),
-            SimilarityPolicy::UserAppRequest
-                .key(&job(1, 2, 100))
-                .stable_hash(),
-        );
+        // The value is part of the golden-reproducibility surface: it routes
+        // service shards and partitions snapshots, so these literals may
+        // never move — not with the in-memory table hasher, not with the
+        // platform or toolchain.
+        let pinned = [
+            (
+                SimilarityPolicy::UserAppRequest.key(&job(1, 2, 100)),
+                0xa3a0_ad5d_610c_9b81,
+            ),
+            (
+                SimilarityPolicy::UserAppRequest.key(&job(0, 0, 0)),
+                0x3c14_a359_4164_1ce2,
+            ),
+            (
+                SimilarityPolicy::UserApp.key(&job(0, 0, 0)),
+                0xbc8d_741c_4ad8_b655,
+            ),
+            (
+                SimilarityPolicy::User.key(&job(0, 0, 0)),
+                0x97cc_6ae3_e26e_ca8c,
+            ),
+            (
+                SimilarityPolicy::AppRequest.key(&job(0, 0, 0)),
+                0x3a0e_8d52_fc8d_b621,
+            ),
+        ];
+        for (key, want) in pinned {
+            assert_eq!(key.stable_hash(), want, "stable_hash moved for {key:?}");
+        }
     }
 
     #[test]

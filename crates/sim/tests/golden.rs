@@ -237,17 +237,50 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Assert a fixed-seed run's canonical rendering digests to a pinned
-/// constant that cannot be silently regenerated: if a hash moves, the
-/// engine's observable behavior changed and the change must be justified
-/// alongside the new value.
-fn check_pinned(name: &str, expected: u64, result: &SimResult) {
+/// FNV-1a over a canonical rendering of all ten [`RunCounters`] fields.
+/// [`render`] shows outcomes, not work: a change that moved the
+/// allocator calls of a matched run (`match_attempts`) alike in every run
+/// would pass every outcome digest, so each pinned digest carries this
+/// one beside it.
+fn counters_digest(c: &RunCounters) -> u64 {
+    let text = format!(
+        "arrivals: {}\nadmissions: {}\nstarted: {}\ncompleted: {}\nfailed: {}\n\
+         requeued: {}\nestimator_bypassed: {}\nchurn_events: {}\n\
+         match_attempts: {}\nmatch_refusals: {}\n",
+        c.arrivals,
+        c.admissions,
+        c.started,
+        c.completed,
+        c.failed,
+        c.requeued,
+        c.estimator_bypassed,
+        c.churn_events,
+        c.match_attempts,
+        c.match_refusals,
+    );
+    fnv1a(text.as_bytes())
+}
+
+/// Assert a fixed-seed run's canonical rendering and its counters digest
+/// to a pinned `(result, counters)` pair that cannot be silently
+/// regenerated. A moved result digest means the engine's observable
+/// behavior changed; a moved counters digest alone means the run did
+/// different work for the same outcome. Either must be justified alongside
+/// the new value.
+fn check_pinned(name: &str, (expected, counters): (u64, u64), result: &SimResult) {
     let got = fnv1a(render(result).as_bytes());
+    let work = counters_digest(&result.counters);
     assert_eq!(
         got, expected,
-        "fixed-seed SimResult digest for `{name}` moved (got {got:#018x}); \
-         the engine's observable behavior changed — update the constant \
-         only with an intentional semantic change"
+        "fixed-seed SimResult digest for `{name}` moved (got {got:#018x}, \
+         counters {work:#018x}); the engine's observable behavior changed — \
+         update the constant only with an intentional semantic change"
+    );
+    assert_eq!(
+        work, counters,
+        "fixed-seed RunCounters digest for `{name}` moved (got {work:#018x}); \
+         the run's work counts changed — re-pin only with a change that \
+         moves work on purpose, and name the layer"
     );
 }
 
@@ -261,7 +294,11 @@ fn check_pinned(name: &str, expected: u64, result: &SimResult) {
 fn golden_fcfs_successive_hash_pinned() {
     let w = base_workload();
     let r = run(SimConfig::default(), EstimatorSpec::paper_successive(), &w);
-    check_pinned("fcfs_successive", 0x9404_ab49_01a3_c631, &r);
+    check_pinned(
+        "fcfs_successive",
+        (0x9404_ab49_01a3_c631, 0x457d_defc_4026_dc61),
+        &r,
+    );
 }
 
 /// Pinned digest of the EASY-backfill + successive-estimator run. Pinned
@@ -273,7 +310,11 @@ fn golden_easy_successive_hash_pinned() {
     let w = base_workload();
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
     let r = run(cfg, EstimatorSpec::paper_successive(), &w);
-    check_pinned("easy_successive", 0xa5e6_18e2_905d_f119, &r);
+    check_pinned(
+        "easy_successive",
+        (0xa5e6_18e2_905d_f119, 0x457d_defc_4026_dc61),
+        &r,
+    );
 }
 
 /// Pinned digest of the SJF + successive-estimator run. Pinned *before*
@@ -284,7 +325,11 @@ fn golden_sjf_successive_hash_pinned() {
     let w = base_workload();
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::Sjf);
     let r = run(cfg, EstimatorSpec::paper_successive(), &w);
-    check_pinned("sjf_successive", 0xe4dc_bc47_2ad5_a974, &r);
+    check_pinned(
+        "sjf_successive",
+        (0xe4dc_bc47_2ad5_a974, 0xa77e_dfb1_55fb_32b3),
+        &r,
+    );
 }
 
 /// Pinned digest of EASY backfill with a stateful estimator and explicit
@@ -302,7 +347,39 @@ fn golden_easy_lastinstance_hash_pinned() {
         EstimatorSpec::LastInstance(LastInstanceConfig::default()),
         &w,
     );
-    check_pinned("easy_lastinstance_explicit", 0xa316_a849_9a9d_9250, &r);
+    check_pinned(
+        "easy_lastinstance_explicit",
+        (0xa316_a849_9a9d_9250, 0xe25a_9a17_45cc_8fad),
+        &r,
+    );
+}
+
+/// Pinned digest of EASY backfill with a Global-scope estimator: the
+/// reinforcement policy reads the scheduler context and draws from its
+/// own RNG on every `estimate`, so a queued entry's refresh is observable
+/// and must stay eager — this pins the order of those calls under the
+/// backfill scan. The [`MatchAll`] run renders identically, and its
+/// counters pin the allocator calls the hunt makes for such entries.
+#[test]
+fn golden_easy_reinforcement_hash_pinned() {
+    use resmatch_core::reinforcement::ReinforcementConfig;
+    let w = base_workload();
+    let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
+    let spec = EstimatorSpec::Reinforcement(ReinforcementConfig::default());
+    let r = run(cfg, spec, &w);
+    check_pinned(
+        "easy_reinforcement",
+        (0xa8e9_f7f9_4fcf_bfb6, 0x46eb_1397_e205_0537),
+        &r,
+    );
+    let r = Simulation::new(cfg, paper_cluster(24), spec)
+        .with_matchmaking(Box::new(MatchAll))
+        .run(&w);
+    check_pinned(
+        "easy_reinforcement through MatchAll",
+        (0xa8e9_f7f9_4fcf_bfb6, 0x9c45_c878_a8f9_bb9c),
+        &r,
+    );
 }
 
 /// The full-scale trace: the calibrated 122,055-job CM5 workload at its
@@ -319,7 +396,12 @@ fn trace_workload() -> Workload {
 /// estimator and with pass-through, the no-estimation baseline. The digest
 /// covers `completed_jobs` and `events_processed`, so it also holds every
 /// job to completion.
-fn check_trace_pinned(name: &str, policy: SchedulingPolicy, successive: u64, pass_through: u64) {
+fn check_trace_pinned(
+    name: &str,
+    policy: SchedulingPolicy,
+    successive: (u64, u64),
+    pass_through: (u64, u64),
+) {
     let w = trace_workload();
     let cfg = SimConfig::default().with_scheduling(policy);
     let r = run(cfg, EstimatorSpec::paper_successive(), &w);
@@ -338,8 +420,8 @@ fn golden_trace_fcfs_successive_hash_pinned() {
     check_trace_pinned(
         "fcfs",
         SchedulingPolicy::Fcfs,
-        0xdf1e_4942_0b10_fda7,
-        0x7775_22e9_baaf_346f,
+        (0xdf1e_4942_0b10_fda7, 0x343d_b99b_635a_2af9),
+        (0x7775_22e9_baaf_346f, 0x9e1b_31cb_e1b8_40ad),
     );
 }
 
@@ -350,8 +432,8 @@ fn golden_trace_sjf_successive_hash_pinned() {
     check_trace_pinned(
         "sjf",
         SchedulingPolicy::Sjf,
-        0x9efb_45c1_ecc9_8ee1,
-        0xbf1f_1fcd_f79a_fffe,
+        (0x9efb_45c1_ecc9_8ee1, 0x29e6_5c42_8681_93de),
+        (0xbf1f_1fcd_f79a_fffe, 0x9e1b_31cb_e1b8_40ad),
     );
 }
 
@@ -364,8 +446,8 @@ fn golden_trace_easy_successive_hash_pinned() {
     check_trace_pinned(
         "easy",
         SchedulingPolicy::EasyBackfill,
-        0x1706_9e7d_e28c_d27f,
-        0x7d92_6f4e_0e40_3f6d,
+        (0x1706_9e7d_e28c_d27f, 0x879e_ca5e_3e9d_6237),
+        (0x7d92_6f4e_0e40_3f6d, 0x9e1b_31cb_e1b8_40ad),
     );
 }
 
@@ -384,17 +466,31 @@ fn golden_matchall_matchmaking_is_byte_identical() {
             .run(&w)
     };
 
+    // The result digests are the native ones; the counters differ from
+    // the native runs' by the matcher's attempt and refusal counts.
     let r = matched(SimConfig::default());
     check("fcfs_successive_implicit", &r);
-    check_pinned("fcfs_successive", 0x9404_ab49_01a3_c631, &r);
+    check_pinned(
+        "fcfs_successive through MatchAll",
+        (0x9404_ab49_01a3_c631, 0x5723_9a85_ae95_be6c),
+        &r,
+    );
 
     let r = matched(SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill));
     check("easy_successive_implicit", &r);
-    check_pinned("easy_successive", 0xa5e6_18e2_905d_f119, &r);
+    check_pinned(
+        "easy_successive through MatchAll",
+        (0xa5e6_18e2_905d_f119, 0x64e6_475c_99a1_d250),
+        &r,
+    );
 
     let r = matched(SimConfig::default().with_scheduling(SchedulingPolicy::Sjf));
     check("sjf_successive_implicit", &r);
-    check_pinned("sjf_successive", 0xe4dc_bc47_2ad5_a974, &r);
+    check_pinned(
+        "sjf_successive through MatchAll",
+        (0xe4dc_bc47_2ad5_a974, 0xef7b_f5e9_f3ed_c52a),
+        &r,
+    );
 }
 
 /// Explicit feedback under [`MatchAll`]: the matchmaking-mode feedback
@@ -511,7 +607,7 @@ impl<M: PoolMatcher> PoolMatcher for NoClaims<M> {
 /// adds [`churn_schedule`] over the workload's span.
 fn check_matchmaking_pinned(
     name: &str,
-    expected: u64,
+    expected: (u64, u64),
     prepares: u64,
     cfg: SimConfig,
     rank: Option<&str>,
@@ -585,7 +681,7 @@ fn check_matchmaking_pinned(
 fn golden_matchmaking_fcfs_successive_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_fcfs_successive",
-        0x5e30_1bed_f86a_1b1e,
+        (0x5e30_1bed_f86a_1b1e, 0x41fe_29cb_d364_c7f8),
         19_708,
         SimConfig::default(),
         None,
@@ -599,7 +695,7 @@ fn golden_matchmaking_sjf_successive_hash_pinned() {
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::Sjf);
     check_matchmaking_pinned(
         "matchmaking_sjf_successive",
-        0x5c01_28f4_979e_e207,
+        (0x5c01_28f4_979e_e207, 0xbea7_f110_529d_8feb),
         18_649,
         cfg,
         None,
@@ -615,7 +711,7 @@ fn golden_matchmaking_easy_successive_hash_pinned() {
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
     check_matchmaking_pinned(
         "matchmaking_easy_successive",
-        0xfc7e_a838_e815_29e6,
+        (0xfc7e_a838_e815_29e6, 0x00b7_c453_cb72_3a72),
         48_691,
         cfg,
         None,
@@ -630,7 +726,7 @@ fn golden_matchmaking_easy_successive_hash_pinned() {
 fn golden_matchmaking_fcfs_ranked_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_fcfs_ranked",
-        0x2111_68e7_c6fe_5a69,
+        (0x2111_68e7_c6fe_5a69, 0x5614_f446_afcb_3c0e),
         19_697,
         SimConfig::default(),
         Some("other.Memory"),
@@ -644,7 +740,7 @@ fn golden_matchmaking_fcfs_ranked_hash_pinned() {
 fn golden_matchmaking_fcfs_successive_churn_hash_pinned() {
     check_matchmaking_pinned(
         "matchmaking_fcfs_successive_churn",
-        0xff88_5791_74eb_1e3d,
+        (0xff88_5791_74eb_1e3d, 0x6cdf_fe69_001f_9ac2),
         19_838,
         SimConfig::default(),
         None,
@@ -658,7 +754,7 @@ fn golden_matchmaking_sjf_successive_churn_hash_pinned() {
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::Sjf);
     check_matchmaking_pinned(
         "matchmaking_sjf_successive_churn",
-        0xc424_b024_d927_44a0,
+        (0xc424_b024_d927_44a0, 0x9eb4_4724_0203_d3be),
         19_021,
         cfg,
         None,
@@ -673,7 +769,7 @@ fn golden_matchmaking_easy_successive_churn_hash_pinned() {
     let cfg = SimConfig::default().with_scheduling(SchedulingPolicy::EasyBackfill);
     check_matchmaking_pinned(
         "matchmaking_easy_successive_churn",
-        0x1651_d2df_8264_df68,
+        (0x1651_d2df_8264_df68, 0x4977_ac4b_d1ba_864b),
         48_838,
         cfg,
         None,
@@ -770,7 +866,11 @@ fn golden_easy_successive_churn_hash_pinned() {
     let r = Simulation::new(cfg, paper_cluster(24), EstimatorSpec::paper_successive())
         .with_churn(churn_schedule(&w))
         .run(&w);
-    check_pinned("easy_successive_churn", 0x032a_15ed_3fc6_cd25, &r);
+    check_pinned(
+        "easy_successive_churn",
+        (0x032a_15ed_3fc6_cd25, 0x8ace_8f48_a3f1_366d),
+        &r,
+    );
 }
 
 /// Pinned digest of SJF + successive estimation under the churn schedule.
@@ -781,7 +881,11 @@ fn golden_sjf_successive_churn_hash_pinned() {
     let r = Simulation::new(cfg, paper_cluster(24), EstimatorSpec::paper_successive())
         .with_churn(churn_schedule(&w))
         .run(&w);
-    check_pinned("sjf_successive_churn", 0xcb6f_5139_f98a_d036, &r);
+    check_pinned(
+        "sjf_successive_churn",
+        (0xcb6f_5139_f98a_d036, 0x14de_609f_5bac_31bf),
+        &r,
+    );
 }
 
 #[test]
