@@ -201,10 +201,12 @@ pub struct Matchmaker {
 
 impl Matchmaker {
     /// Build for a fixed pool set. Pool index `i` here must correspond to
-    /// the cluster's pool index `i` (construction order).
+    /// the cluster's pool index `i` (construction order). An empty pool
+    /// set gets one all-zero bitset word, so no pool is eligible for any
+    /// demand.
     pub fn new(pools: &[PoolAd]) -> Self {
         let npools = pools.len();
-        let words = npools.div_ceil(64);
+        let words = npools.div_ceil(64).max(1);
         let pool_mem: Vec<i64> = pools.iter().map(|p| clamp(p.capacity.mem_kb)).collect();
         let pool_disk: Vec<i64> = pools.iter().map(|p| clamp(p.capacity.disk_kb)).collect();
 
@@ -711,6 +713,16 @@ mod tests {
                     "pool {i}, demand {demand:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn empty_pool_set_refuses_every_demand() {
+        let mut mm = Matchmaker::new(&[]);
+        for demand in demands() {
+            mm.prepare(&demand);
+            let bits = mm.eligible_pools().expect("matchmaker always indexes");
+            assert!(bits.iter().all(|&w| w == 0), "{demand:?}: {bits:?}");
         }
     }
 

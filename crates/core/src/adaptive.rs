@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use resmatch_cluster::{CapacityLadder, Demand};
 use resmatch_workload::Job;
 
-use crate::similarity::FnvBuildHasher;
+use crate::similarity::WordBuildHasher;
 
 use crate::similarity::SimilarityPolicy;
 use crate::successive::{SuccessiveApproximation, SuccessiveConfig};
@@ -63,7 +63,7 @@ pub struct AdaptiveSimilarity {
     cfg: AdaptiveConfig,
     levels: Vec<SuccessiveApproximation>,
     /// Current refinement level and failure count at that level, per user.
-    users: HashMap<u32, (usize, u64), FnvBuildHasher>,
+    users: HashMap<u32, (usize, u64), WordBuildHasher>,
 }
 
 impl AdaptiveSimilarity {

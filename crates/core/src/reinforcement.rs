@@ -24,7 +24,7 @@ use rand::{RngExt, SeedableRng};
 use resmatch_cluster::Demand;
 use resmatch_workload::{Job, JobId};
 
-use crate::similarity::FnvBuildHasher;
+use crate::similarity::WordBuildHasher;
 use crate::traits::{EstimateContext, Feedback, ResourceEstimator};
 
 /// Scaling factors the agent chooses among; 1.0 is "trust the request".
@@ -70,7 +70,7 @@ pub struct ReinforcementEstimator {
     /// Visit counts per state-action pair, for decaying exploration.
     visits: Vec<[u64; ACTIONS.len()]>,
     /// Action taken for each in-flight job, consumed by feedback.
-    pending: HashMap<JobId, (usize, usize), FnvBuildHasher>,
+    pending: HashMap<JobId, (usize, usize), WordBuildHasher>,
     total_decisions: u64,
     rng: StdRng,
 }

@@ -41,11 +41,11 @@ pub struct SimilarityKey {
 }
 
 /// Manual `Hash`: the derived impl feeds each `Option` discriminant and
-/// value to the hasher separately (~40 bytes through [`FnvHasher`]'s
-/// byte-serial loop), and group-table lookups hash a key on every estimate
-/// and every feedback. Packing the fields into 17 bytes — a presence mask
-/// plus two words — keeps the injection (`None` never collides with
-/// `Some(0)`; the mask disambiguates) while halving the per-lookup cost.
+/// value to the hasher separately (six writes), and group-table lookups
+/// hash a key on every estimate and every feedback. Packing the fields
+/// into three writes — a presence mask plus two words, three multiplies
+/// through [`WordHasher`] — keeps the injection (`None` never collides
+/// with `Some(0)`; the mask disambiguates).
 impl std::hash::Hash for SimilarityKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         let mask = (u8::from(self.user.is_some()) << 2)
@@ -91,35 +91,75 @@ impl SimilarityKey {
     }
 }
 
-/// FNV-1a [`std::hash::Hasher`]: seed-free and far cheaper than the
-/// default SipHash for the small fixed-size keys hashed on the simulator's
-/// hot path (similarity keys, group fingerprints). Only the *bucket
-/// placement* changes versus the default hasher — key equality, and
-/// therefore every lookup result, is untouched.
+/// Fixed-seed word hasher for the in-memory tables hashed on the
+/// simulator's hot path (similarity keys, group fingerprints, user and
+/// job ids): each integer write is one folded 64×64→128-bit multiply of
+/// `state ^ x` by a fixed odd constant, where a byte-serial hash pays one
+/// dependent multiply per byte. Only the *bucket placement* changes versus
+/// any other hasher — key equality, and therefore every lookup result, is
+/// untouched — and no walk over these tables reaches an output unsorted.
 ///
-/// Not DoS-resistant; all keys here come from trusted trace data.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FnvHasher(u64);
+/// Deterministic (no per-process seed) and not DoS-resistant; all keys
+/// here come from trusted trace data. [`SimilarityKey::stable_hash`] is a
+/// separate, pinned function.
+#[derive(Debug, Clone, Copy)]
+pub struct WordHasher(u64);
 
-impl std::hash::Hasher for FnvHasher {
+impl WordHasher {
+    /// Initial state: an arbitrary fixed constant (π's fraction bits), so a
+    /// zero first word does not leave the state at zero.
+    const SEED: u64 = 0x243F_6A88_85A3_08D3;
+    /// The odd multiplier (2⁶⁴ over the golden ratio).
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    #[inline]
+    fn mix(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * u128::from(Self::MUL);
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        WordHasher(Self::SEED)
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
+    /// Byte slices (no key here writes one) fold eight bytes at a time,
+    /// the last word zero-padded, then the length.
     fn write(&mut self, bytes: &[u8]) {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = if self.0 == 0 { FNV_OFFSET } else { self.0 };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
         }
-        self.0 = h;
+        self.mix(bytes.len() as u64);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
     }
 }
 
-/// `BuildHasher` plugging [`FnvHasher`] into `HashMap`.
-pub type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
+/// `BuildHasher` plugging [`WordHasher`] into `HashMap`.
+pub type WordBuildHasher = std::hash::BuildHasherDefault<WordHasher>;
 
 impl SimilarityPolicy {
     /// Extract the key for `job`.
@@ -157,7 +197,7 @@ impl SimilarityPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct GroupTable<T> {
     policy: SimilarityPolicy,
-    groups: HashMap<SimilarityKey, T, FnvBuildHasher>,
+    groups: HashMap<SimilarityKey, T, WordBuildHasher>,
 }
 
 impl<T> GroupTable<T> {
@@ -322,6 +362,37 @@ mod tests {
         for (key, want) in pinned {
             assert_eq!(key.stable_hash(), want, "stable_hash moved for {key:?}");
         }
+    }
+
+    #[test]
+    fn word_hasher_separates_keys_and_byte_lengths() {
+        use std::hash::{BuildHasher, Hasher};
+        let build = WordBuildHasher::default();
+        let keys = [
+            SimilarityPolicy::UserAppRequest.key(&job(1, 2, 100)),
+            SimilarityPolicy::UserAppRequest.key(&job(0, 0, 0)),
+            SimilarityPolicy::UserApp.key(&job(0, 0, 0)),
+            SimilarityPolicy::User.key(&job(0, 0, 0)),
+            SimilarityPolicy::AppRequest.key(&job(0, 0, 0)),
+        ];
+        let mut hashes: Vec<u64> = keys.iter().map(|k| build.hash_one(k)).collect();
+        assert_eq!(
+            hashes[0],
+            build.hash_one(keys[0]),
+            "equal keys hash equally"
+        );
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), keys.len());
+        // The byte-slice fallback folds the length: a zero-padded tail
+        // does not alias a longer slice.
+        let bytes = |b: &[u8]| {
+            let mut h = build.build_hasher();
+            h.write(b);
+            h.finish()
+        };
+        assert_eq!(bytes(&[1, 2, 3]), bytes(&[1, 2, 3]));
+        assert_ne!(bytes(&[1, 2, 3]), bytes(&[1, 2, 3, 0]));
     }
 
     #[test]

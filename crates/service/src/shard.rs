@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 
 use resmatch_cluster::{CapacityLadder, Demand};
-use resmatch_core::similarity::FnvBuildHasher;
+use resmatch_core::similarity::WordBuildHasher;
 use resmatch_core::snapshot::SnapshotState;
 use resmatch_core::spec::EstimatorSpec;
 use resmatch_core::traits::{EstimateContext, EstimateScope, Feedback, ResourceEstimator};
@@ -42,7 +42,7 @@ pub struct ServiceShard {
     queue: Vec<QueuedObservation>,
     /// Group hashes with feedback sitting in `queue`, for the O(1)
     /// "does this estimate need a flush first?" check.
-    pending_groups: HashSet<u64, FnvBuildHasher>,
+    pending_groups: HashSet<u64, WordBuildHasher>,
     feedback_batch: usize,
     stats: ServiceStats,
 }

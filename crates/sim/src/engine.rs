@@ -20,7 +20,8 @@
 //!   [`EstimateScope`]): feedback for one similarity group never forces
 //!   re-estimation of jobs in other groups, membership churn invalidates
 //!   everything, and context-dependent estimators keep the historical
-//!   refresh-on-any-feedback rule;
+//!   refresh-on-any-feedback rule. EASY backfill re-estimates a Static-
+//!   or Group-scope entry only when enough nodes are free to start it;
 //! - after `max_estimation_attempts` failed executions the engine bypasses
 //!   the estimator and submits the raw user request, bounding retry storms
 //!   for pathological groups;
@@ -35,8 +36,10 @@ use std::mem;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+#[cfg(debug_assertions)]
+use resmatch_cluster::Capacity;
 use resmatch_cluster::{AllocationSpare, Cluster, Demand, MatchAll, MatchPolicy, PoolMatcher};
-use resmatch_core::similarity::FnvBuildHasher;
+use resmatch_core::similarity::WordBuildHasher;
 use resmatch_core::traits::{requested_demand, used_demand};
 use resmatch_core::{EstimateContext, EstimateScope, Feedback, ResourceEstimator};
 use resmatch_workload::{Job, Time, Workload};
@@ -181,10 +184,10 @@ const SCOPE_GLOBAL: u32 = u32::MAX - 2;
 ///
 /// The key is `(head job, head demand, running generation, structural
 /// epoch)`: free-node counts and the release set move only with starts,
-/// completions, and churn (the two generations), and every in-queue
-/// estimate refresh rides a feedback epoch that moves only with
-/// completions — so a hit also proves no queued entry below `scanned`
-/// needs re-estimation, and the pass may resume scanning at new arrivals.
+/// completions, and churn. A backfill start cannot move the crossing (the
+/// job ends by the shadow time), so its pass carries the running
+/// generation forward; a hit then means only arrivals happened since the
+/// proof, and the pass resumes scanning at them.
 struct ShadowCache {
     job: usize,
     demand: Demand,
@@ -195,9 +198,9 @@ struct ShadowCache {
     /// when even a drained cluster cannot satisfy the head.
     crossing: Option<Time>,
     /// Queue entries below this index are proven unstartable under this
-    /// key: their estimates are fresh, their conservative completions
-    /// still overrun the shadow (`now` only grows the overrun), and the
-    /// cluster they failed to allocate on is unchanged.
+    /// key: their conservative completions still overrun the shadow, or
+    /// they were refused on a cluster that has since only lost free
+    /// nodes. Their estimates may be stale (see the hunt).
     scanned: usize,
 }
 
@@ -216,13 +219,13 @@ pub struct SimArena {
     store: JobStore,
     runs: RunTable,
     release_table: ReleaseTable,
-    group_slots: HashMap<u64, u32, FnvBuildHasher>,
+    group_slots: HashMap<u64, u32, WordBuildHasher>,
     group_epoch_by_slot: Vec<u64>,
     sjf_heap: BinaryHeap<Reverse<(Time, i64)>>,
     pool_busy_time: Vec<f64>,
-    /// Release buffer of the debug build's EASY shadow-time cross-check.
+    /// Buffers of the debug build's EASY shadow-time cross-checks.
     #[cfg(debug_assertions)]
-    shadow_check: Vec<(Time, u32)>,
+    shadow_check: ShadowCheck,
     /// Retired-allocation buffers carried *across* cluster instances:
     /// sweep points clone a fresh cluster each, but the buffer pool is
     /// content-free (capacity only), so handing it to the next point's
@@ -255,7 +258,7 @@ struct RunState {
     /// Consulted only on admission and feedback delivery; the per-candidate
     /// staleness check indexes the dense vector through
     /// [`Queued::group_slot`] instead of hashing.
-    group_slots: HashMap<u64, u32, FnvBuildHasher>,
+    group_slots: HashMap<u64, u32, WordBuildHasher>,
     /// Feedback epoch at which each similarity group (by dense slot) last
     /// received feedback — the group-scoped invalidation index. Entries
     /// whose scope is [`EstimateScope::Group`] re-estimate only when
@@ -311,9 +314,38 @@ struct RunState {
     weighted_span_s: f64,
     /// Busy-node-seconds per pool (construction order).
     pool_busy_time: Vec<f64>,
-    /// Release buffer of the debug build's EASY shadow-time cross-check.
+    /// Buffers of the debug build's EASY shadow-time cross-checks.
     #[cfg(debug_assertions)]
-    shadow_check: Vec<(Time, u32)>,
+    shadow_check: ShadowCheck,
+}
+
+/// Buffers of the debug build's EASY cross-checks, which re-derive the
+/// head's shadow time with [`shadow_time`] over the live runs.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct ShadowCheck {
+    /// `(conservative end, head-eligible nodes)` of every live run.
+    releases: Vec<(Time, u32)>,
+    /// The matcher's verdict per pool (bit `p` of word `p / 64`) for the
+    /// head demand, recorded while that demand is prepared: a check after
+    /// a backfill start counts through [`RecordedPools`] instead of
+    /// re-preparing the run's matcher, whose `prepare` calls tests count.
+    head_pools: Vec<u64>,
+}
+
+/// Replays [`ShadowCheck::head_pools`] as a matcher.
+#[cfg(debug_assertions)]
+struct RecordedPools<'a>(&'a [u64]);
+
+#[cfg(debug_assertions)]
+impl PoolMatcher for RecordedPools<'_> {
+    fn matches(&mut self, pool: usize, _capacity: &Capacity) -> bool {
+        self.0[pool >> 6] >> (pool & 63) & 1 == 1
+    }
+
+    fn eligible_pools(&self) -> Option<&[u64]> {
+        Some(self.0)
+    }
 }
 
 /// A scheduled change in cluster membership — the paper's §1.1 setting
@@ -1323,14 +1355,11 @@ impl Simulation {
                     state.sjf_heap.pop();
                 }
             }
-            SchedulingPolicy::EasyBackfill => loop {
+            SchedulingPolicy::EasyBackfill => {
                 // Phase 0: when a previous pass proved this exact head
                 // blocked against this exact cluster state, skip the
                 // retry and the reservation arithmetic — only entries the
                 // proof has not reached yet (new arrivals) need scanning.
-                // A hit also proves no skipped entry needs re-estimation:
-                // feedback epochs move only with completions, which bump
-                // the running generation.
                 let cached = match (&state.shadow_cache, state.queue.front()) {
                     (Some(c), Some(ref h))
                         if c.job == h.job
@@ -1347,7 +1376,7 @@ impl Simulation {
                         // Still short of a drained cluster; only a
                         // completion or churn can change that, and either
                         // would have missed the cache.
-                        break;
+                        return;
                     };
                     (t_cross.max(now), scanned)
                 } else {
@@ -1358,12 +1387,12 @@ impl Simulation {
                         head_started = self.try_start_at(state, matcher, head, now);
                     }
                     if state.queue.len() < 2 {
-                        break;
+                        return;
                     }
                     // Phase 2: reservation for the blocked head, from the
                     // incrementally maintained release table.
                     let Some(head) = state.queue.front() else {
-                        break;
+                        return;
                     };
                     let head_demand = head.demand;
                     let head_job = head.job;
@@ -1382,10 +1411,15 @@ impl Simulation {
                             )
                         });
                     // The incremental path must agree with the historical
-                    // rebuild-and-sort computation it replaced.
+                    // rebuild-and-sort computation it replaced. The head's
+                    // pool verdicts are recorded for the checks after
+                    // backfill starts, while its demand is prepared.
                     #[cfg(debug_assertions)]
                     {
-                        let releases = &mut state.shadow_check;
+                        let ShadowCheck {
+                            releases,
+                            head_pools,
+                        } = &mut state.shadow_check;
                         releases.clear();
                         releases.extend(state.runs.iter_live().map(|(end, alloc)| {
                             let eligible = self.cluster.allocation_nodes_satisfying_matched(
@@ -1400,6 +1434,14 @@ impl Simulation {
                             shadow_time(free_now, head_nodes, releases, now),
                             "incremental crossing diverged from shadow_time"
                         );
+                        let pools = self.cluster.num_pools();
+                        head_pools.clear();
+                        head_pools.resize(pools.div_ceil(64), 0);
+                        for p in 0..pools {
+                            if matcher.matches(p, &self.cluster.pool_capacity(p)) {
+                                head_pools[p >> 6] |= 1 << (p & 63);
+                            }
+                        }
                     }
                     // The scan resumes just past the head's physical slot
                     // (tombstones in between self-reject in the hunt).
@@ -1416,31 +1458,31 @@ impl Simulation {
                         // The head's demand exceeds what even a drained
                         // cluster offers right now; completions will
                         // shrink it later.
-                        break;
+                        return;
                     };
                     (t_cross.max(now), past_head)
                 };
-                // Phase 3: backfill the first job that fits now and is
-                // conservatively done before the shadow time.
-                // The scan alternates a read-mostly *hunt* over a
-                // contiguous view of the queue — no per-element deque
-                // index arithmetic — with a `try_start_at` call per
-                // genuine candidate. The hunt rejects on the entry alone
-                // (window, retry stamp) and gates fresh entries inline,
-                // first on the cluster's free-node total (one compare, no
-                // matcher), then on the live eligible-free count: a
-                // completion invalidates every retry stamp at once, and
-                // this keeps the resulting first pass from paying a full
-                // call per provably-refused entry. Both refusals stamp
-                // the entry: eligible free nodes never exceed free nodes,
-                // and free nodes only fall within one retry epoch.
-                let mut started = false;
-                let mut hunt_from = scan_from;
+                // Phase 3: backfill, in one sweep, every job that fits now
+                // and is conservatively done before the shadow time. A
+                // start leaves the head's crossing put (the job ends by
+                // the shadow time), and each entry passed was refused
+                // under this window and epoch while free nodes only fell.
+                // The hunt, read-mostly over a contiguous view of the
+                // queue, rejects on the entry (window, retry stamp), on
+                // the free-node total and, for fresh entries, on the live
+                // eligible-free count, stamping it: eligible free nodes
+                // never exceed free nodes, which only fall within one
+                // epoch. A stale Static/Group entry meets the free total
+                // first, deferring its refresh to a pass that could start
+                // it (only feedback or churn, which bump the epoch, move
+                // its estimate); a stale Global one goes to
+                // `try_start_at` unjudged, its refresh being observable.
                 // The window the conservative completion must fit in;
                 // `rt > window` is exactly `now + rt > shadow` (shadow is
                 // never below `now`), hoisting the add out of the scan —
                 // and tombstones' `Time::MAX` sentinel always fails it.
                 let window = shadow.saturating_sub(now);
+                let mut hunt_from = scan_from;
                 loop {
                     let candidate = {
                         let epoch = state.retry_epoch;
@@ -1465,16 +1507,16 @@ impl Simulation {
                                 continue;
                             }
                             let q = &colds[off];
-                            let needs_refresh = q.structural_stamp != structural
-                                || match q.scope_slot {
-                                    SCOPE_STATIC => false,
-                                    SCOPE_GLOBAL => q.feedback_stamp != feedback,
-                                    slot => slots[slot as usize] > q.feedback_stamp,
-                                };
-                            // A stale entry goes to `try_start_at` unjudged:
-                            // its refresh calls the estimator, observably.
+                            let wide = q.nodes > free_total;
+                            let needs_refresh = (!wide || q.scope_slot == SCOPE_GLOBAL)
+                                && (q.structural_stamp != structural
+                                    || match q.scope_slot {
+                                        SCOPE_STATIC => false,
+                                        SCOPE_GLOBAL => q.feedback_stamp != feedback,
+                                        slot => slots[slot as usize] > q.feedback_stamp,
+                                    });
                             if !needs_refresh {
-                                if q.nodes > free_total {
+                                if wide {
                                     *stamp = epoch;
                                     continue;
                                 }
@@ -1494,24 +1536,60 @@ impl Simulation {
                     let Some(idx) = candidate else {
                         break;
                     };
-                    if self.try_start_at(state, matcher, idx, now) {
-                        started = true;
-                        break;
-                    }
+                    let phys_len = state.queue.phys_len();
                     hunt_from = idx + 1;
-                }
-                if !started {
-                    // Extend the proof over everything scanned: the next
-                    // pass under an unchanged key resumes after it. The
-                    // position is physical — arrivals appended past it
-                    // (and only those) are the unscanned tail.
-                    if let Some(c) = state.shadow_cache.as_mut() {
-                        c.scanned = state.queue.phys_len();
+                    if self.try_start_at(state, matcher, idx, now) {
+                        // A compacting removal moves every physical index:
+                        // resume past the head; passed entries re-reject.
+                        if state.queue.phys_len() < phys_len {
+                            hunt_from = state.queue.head_idx() + 1;
+                        }
+                        #[cfg(debug_assertions)]
+                        self.check_crossing_holds(state, now);
                     }
-                    break;
                 }
-            },
+                // Extend the proof over everything scanned, under the
+                // running generation this pass's starts moved it to. The
+                // position is physical — arrivals appended past it (and
+                // only those) are the unscanned tail.
+                if let Some(c) = state.shadow_cache.as_mut() {
+                    c.running_gen = state.running_gen;
+                    c.scanned = state.queue.phys_len();
+                }
+            }
         }
+    }
+
+    /// Debug builds: after a backfill start, re-derive the blocked head's
+    /// shadow time with [`shadow_time`] over the live runs and assert that
+    /// the cached crossing still gives it — the proof that lets the sweep
+    /// go on without recomputing the reservation.
+    #[cfg(debug_assertions)]
+    fn check_crossing_holds(&self, state: &mut RunState, now: Time) {
+        let (Some(cache), Some(head)) = (&state.shadow_cache, state.queue.front()) else {
+            debug_assert!(false, "a backfill start needs a blocked head");
+            return;
+        };
+        let ShadowCheck {
+            releases,
+            head_pools,
+        } = &mut state.shadow_check;
+        let mut pools = RecordedPools(head_pools);
+        let free_now = self
+            .cluster
+            .free_nodes_satisfying_matched(&cache.demand, &mut pools);
+        releases.clear();
+        releases.extend(state.runs.iter_live().map(|(end, alloc)| {
+            let eligible =
+                self.cluster
+                    .allocation_nodes_satisfying_matched(alloc, &cache.demand, &mut pools);
+            (end, eligible)
+        }));
+        debug_assert_eq!(
+            cache.crossing.map(|t| t.max(now)),
+            shadow_time(free_now, head.nodes, releases, now),
+            "a backfill start moved the head's crossing"
+        );
     }
 }
 

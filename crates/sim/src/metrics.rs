@@ -100,7 +100,9 @@ pub struct RunCounters {
     /// Matchmaking mode only: allocator calls made for fresh queue
     /// entries (entries whose recorded refusal still stands, and backfill
     /// candidates with too few free nodes, in total or in eligible pools,
-    /// are skipped without one); zero in native mode.
+    /// are skipped without one; a stale candidate is re-estimated first,
+    /// unless its scope is Static or Group and the free-node total
+    /// refuses it as it stands); zero in native mode.
     pub match_attempts: u64,
     /// Matchmaking mode only: the allocator calls of
     /// [`RunCounters::match_attempts`] that were refused for too few free

@@ -98,7 +98,9 @@ pub trait SimObserver: Send {
     /// allocator call, as counted by [`RunCounters::match_attempts`] —
     /// entries whose recorded refusal still stands, and backfill
     /// candidates with too few free nodes, in total or in eligible pools,
-    /// never reach the allocator and are not reported.
+    /// never reach the allocator and are not reported. A stale candidate
+    /// reaches it re-estimated, unless its scope is Static or Group and
+    /// the free-node total refuses it as it stands.
     fn on_match_attempt(&mut self, time: Time, job: JobId, nodes: u32) {
         let _ = (time, job, nodes);
     }

@@ -1,12 +1,16 @@
 //! Property-based tests on the simulation engine: conservation laws and
 //! sanity invariants under arbitrary small workloads and estimators.
 
+mod common;
+
+use common::render;
 use proptest::prelude::*;
-use resmatch_cluster::ClusterBuilder;
+use resmatch_classad::{Matchmaker, PoolAd};
+use resmatch_cluster::{Capacity, ClusterBuilder, Demand};
 use resmatch_core::prelude::*;
 use resmatch_sim::prelude::*;
 use resmatch_workload::job::JobBuilder;
-use resmatch_workload::{Time, Workload};
+use resmatch_workload::{Job, Time, Workload};
 
 const MB: u64 = 1024;
 
@@ -137,8 +141,170 @@ fn cluster() -> resmatch_cluster::Cluster {
         .build()
 }
 
+/// Deep queues over few similarity groups: requests come in four sizes,
+/// so waiting jobs share groups with running ones and their estimates go
+/// stale while they queue.
+fn arb_grouped_jobs() -> impl Strategy<Value = Vec<JobSpec>> {
+    prop::collection::vec(
+        (
+            0u32..3,
+            0u32..2,
+            0u64..3_000,
+            1u64..2_000,
+            1u32..12,
+            0usize..4,
+            0.01f64..1.0,
+        )
+            .prop_map(
+                |(user, app, submit_s, runtime_s, nodes, size, used_frac)| JobSpec {
+                    user,
+                    app,
+                    submit_s,
+                    runtime_s,
+                    nodes,
+                    req_mb: [8, 16, 24, 32][size],
+                    used_frac,
+                },
+            ),
+        20..150,
+    )
+}
+
+/// The estimator families whose scope is [`EstimateScope::Group`]: the
+/// engine defers their in-queue refresh to a pass that could start them.
+fn arb_group_spec() -> impl Strategy<Value = EstimatorSpec> {
+    prop_oneof![
+        Just(EstimatorSpec::paper_successive()),
+        Just(EstimatorSpec::Quantile(QuantileConfig::default())),
+        Just(EstimatorSpec::LastInstance(LastInstanceConfig::default())),
+        Just(EstimatorSpec::Robust(RobustConfig::default())),
+        Just(EstimatorSpec::PerResource(PerResourceConfig::default())),
+    ]
+}
+
+/// Forwards every call to the wrapped estimator but keeps the default
+/// [`EstimateScope::Global`], under which the engine re-estimates a stale
+/// queued entry wherever the scan reaches it.
+struct ReportsGlobal(Box<dyn ResourceEstimator>);
+
+impl ResourceEstimator for ReportsGlobal {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn estimate(&mut self, job: &Job, ctx: &EstimateContext) -> Demand {
+        self.0.estimate(job, ctx)
+    }
+
+    fn feedback(
+        &mut self,
+        job: &Job,
+        granted: &Demand,
+        feedback: &Feedback,
+        ctx: &EstimateContext,
+    ) {
+        self.0.feedback(job, granted, feedback, ctx);
+    }
+}
+
+/// Node counts of the 32 MB, 24 MB and 8 MB pools (an 8 MB count of zero
+/// leaves that pool out).
+fn arb_pools() -> impl Strategy<Value = Vec<(u32, Capacity)>> {
+    (2u32..14, 2u32..14, 0u32..10).prop_map(|(big, mid, small)| {
+        [(big, 32 * MB), (mid, 24 * MB), (small, 8 * MB)]
+            .into_iter()
+            .filter(|&(n, _)| n > 0)
+            .map(|(n, mem)| (n, Capacity::memory(mem)))
+            .collect()
+    })
+}
+
+/// Take half of each of the two large pools offline during the trace and
+/// bring them back before it ends.
+fn churn_schedule(pools: &[(u32, Capacity)], w: &Workload) -> Vec<ChurnEvent> {
+    let t0 = w.jobs().first().map_or(Time::ZERO, |j| j.submit);
+    let t1 = w.jobs().last().map_or(Time::ZERO, |j| j.submit);
+    let span_ms = t1.saturating_sub(t0).as_millis();
+    let at = |frac: f64| t0 + Time::from_millis((span_ms as f64 * frac) as u64);
+    let half = |i: usize| i64::from(pools[i].0 / 2);
+    let mem = |i: usize| pools[i].1.mem_kb;
+    vec![
+        ChurnEvent {
+            time: at(0.25),
+            mem_kb: mem(1),
+            delta: -half(1),
+        },
+        ChurnEvent {
+            time: at(0.50),
+            mem_kb: mem(0),
+            delta: -half(0),
+        },
+        ChurnEvent {
+            time: at(0.75),
+            mem_kb: mem(1),
+            delta: half(1),
+        },
+        ChurnEvent {
+            time: at(0.90),
+            mem_kb: mem(0),
+            delta: half(0),
+        },
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn deferred_refresh_is_invisible(
+        specs in arb_grouped_jobs(),
+        pools in arb_pools(),
+        spec in arb_group_spec(),
+        policy in arb_policy(),
+        matched in any::<bool>(),
+        churn in any::<bool>(),
+        explicit in any::<bool>(),
+    ) {
+        // A Group-scope estimate ignores the scheduler context and moves
+        // only with its group's feedback or with churn, so the engine may
+        // re-estimate such a queued entry only in a pass that could start
+        // it. Reporting Global scope for the same estimator forces the
+        // eager refresh; the outcomes must not tell the two apart, though
+        // the work counters may.
+        let w = workload(&specs);
+        let cfg = SimConfig::default()
+            .with_scheduling(policy)
+            .with_feedback(if explicit { FeedbackMode::Explicit } else { FeedbackMode::Implicit });
+        let churn = if churn { churn_schedule(&pools, &w) } else { Vec::new() };
+        let run = |global: bool| {
+            let cluster = pools
+                .iter()
+                .fold(ClusterBuilder::new(), |b, &(n, cap)| b.pool_with(n, cap))
+                .build();
+            let estimator = spec.build(&cluster.memory_ladder());
+            let estimator: Box<dyn ResourceEstimator> = if global {
+                Box::new(ReportsGlobal(estimator))
+            } else {
+                estimator
+            };
+            let mut b = Simulation::builder()
+                .config(cfg)
+                .cluster(cluster)
+                .boxed_estimator(estimator)
+                .churn(churn.clone());
+            if matched {
+                let ads: Vec<PoolAd> = pools.iter().map(|&(_, cap)| PoolAd::new(cap)).collect();
+                b = b.matchmaking(Box::new(Matchmaker::new(&ads)));
+            }
+            b.build().expect("complete builder").run(&w)
+        };
+        let (scoped, eager) = (render(&run(false)), render(&run(true)));
+        let first_difference = scoped.lines().zip(eager.lines()).find(|(a, b)| a != b);
+        prop_assert!(
+            scoped == eager,
+            "deferring the refresh changed an outcome: {first_difference:?}"
+        );
+    }
 
     #[test]
     fn every_job_completes_or_is_dropped(
