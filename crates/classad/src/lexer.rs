@@ -63,166 +63,114 @@ impl fmt::Display for LexError {
     }
 }
 
-/// Tokenize an expression string.
-///
-/// # Errors
-/// [`LexError`] at the first malformed token: a lone `=`, `&` or `|`, an
-/// unterminated string, a bad number or an unexpected character.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            '.' if !bytes.get(i + 1).is_some_and(u8::is_ascii_digit) => {
-                tokens.push(Token::Dot);
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                tokens.push(Token::Minus);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Token::Slash);
-                i += 1;
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Ne);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Bang);
-                    i += 1;
-                }
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Le);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Ge);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::EqEq);
-                    i += 2;
-                } else {
-                    return Err(LexError {
-                        offset: i,
-                        message: "single '=' (use '==')".into(),
-                    });
-                }
-            }
-            '&' => {
-                if bytes.get(i + 1) == Some(&b'&') {
-                    tokens.push(Token::AndAnd);
-                    i += 2;
-                } else {
-                    return Err(LexError {
-                        offset: i,
-                        message: "single '&' (use '&&')".into(),
-                    });
-                }
-            }
-            '|' => {
-                if bytes.get(i + 1) == Some(&b'|') {
-                    tokens.push(Token::OrOr);
-                    i += 2;
-                } else {
-                    return Err(LexError {
-                        offset: i,
-                        message: "single '|' (use '||')".into(),
-                    });
-                }
-            }
+/// On-demand tokenizer: each [`Lexer::next_token`] call scans one token,
+/// so a parser that stops at an error never lexes the rest of its input.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    input: &'a str,
+    /// Byte offset of the first unread character.
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Lexer { input, pos: 0 }
+    }
+
+    /// The next token, or `None` at the end of the input.
+    ///
+    /// # Errors
+    /// [`LexError`] when the next token is malformed: a lone `=`, `&` or
+    /// `|`, an unterminated string, a bad number or an unexpected
+    /// character. The lexer does not advance past it.
+    pub fn next_token(&mut self) -> Result<Option<Token>, LexError> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let mut i = self.pos;
+        while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\n' | b'\r') {
+            i += 1;
+        }
+        self.pos = i;
+        let Some(&b) = bytes.get(i) else {
+            return Ok(None);
+        };
+        let next = bytes.get(i + 1).copied();
+        let digit_follows = next.is_some_and(|n| n.is_ascii_digit());
+        let fail = |offset, message| Err(LexError { offset, message });
+        let (token, end) = match b as char {
+            '(' => (Token::LParen, i + 1),
+            ')' => (Token::RParen, i + 1),
+            '.' if !digit_follows => (Token::Dot, i + 1),
+            '+' => (Token::Plus, i + 1),
+            '-' => (Token::Minus, i + 1),
+            '*' => (Token::Star, i + 1),
+            '/' => (Token::Slash, i + 1),
+            '!' if next == Some(b'=') => (Token::Ne, i + 2),
+            '!' => (Token::Bang, i + 1),
+            '<' if next == Some(b'=') => (Token::Le, i + 2),
+            '<' => (Token::Lt, i + 1),
+            '>' if next == Some(b'=') => (Token::Ge, i + 2),
+            '>' => (Token::Gt, i + 1),
+            '=' if next == Some(b'=') => (Token::EqEq, i + 2),
+            '&' if next == Some(b'&') => (Token::AndAnd, i + 2),
+            '|' if next == Some(b'|') => (Token::OrOr, i + 2),
+            c @ ('=' | '&' | '|') => return fail(i, format!("single '{c}' (use '{c}{c}')")),
             '"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    j += 1;
-                }
-                if j == bytes.len() {
-                    return Err(LexError {
-                        offset: i,
-                        message: "unterminated string".into(),
-                    });
-                }
-                tokens.push(Token::Str(input[start..j].to_string()));
-                i = j + 1;
+                let Some(len) = input[i + 1..].find('"') else {
+                    return fail(i, "unterminated string".into());
+                };
+                let end = i + 1 + len;
+                (Token::Str(input[i + 1..end].to_string()), end + 1)
             }
-            c if c.is_ascii_digit()
-                || (c == '.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
-            {
-                let start = i;
+            c if c.is_ascii_digit() || (c == '.' && digit_follows) => {
+                let mut end = i;
                 let mut seen_dot = false;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_digit() || (bytes[i] == b'.' && !seen_dot))
+                while end < bytes.len()
+                    && (bytes[end].is_ascii_digit() || (bytes[end] == b'.' && !seen_dot))
                 {
-                    if bytes[i] == b'.' {
-                        seen_dot = true;
+                    seen_dot |= bytes[end] == b'.';
+                    end += 1;
+                }
+                let text = &input[i..end];
+                let token = if seen_dot {
+                    match text.parse() {
+                        Ok(f) => Token::Float(f),
+                        Err(_) => return fail(i, format!("bad float {text:?}")),
                     }
-                    i += 1;
-                }
-                let text = &input[start..i];
-                if seen_dot {
-                    let f: f64 = text.parse().map_err(|_| LexError {
-                        offset: start,
-                        message: format!("bad float {text:?}"),
-                    })?;
-                    tokens.push(Token::Float(f));
                 } else {
-                    let n: i64 = text.parse().map_err(|_| LexError {
-                        offset: start,
-                        message: format!("integer {text:?} out of range"),
-                    })?;
-                    tokens.push(Token::Int(n));
-                }
+                    match text.parse() {
+                        Ok(n) => Token::Int(n),
+                        Err(_) => return fail(i, format!("integer {text:?} out of range")),
+                    }
+                };
+                (token, end)
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
+                let mut end = i;
+                while end < bytes.len()
+                    && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_')
                 {
-                    i += 1;
+                    end += 1;
                 }
-                tokens.push(Token::Ident(input[start..i].to_string()));
+                (Token::Ident(input[i..end].to_string()), end)
             }
-            other => {
-                return Err(LexError {
-                    offset: i,
-                    message: format!("unexpected character {other:?}"),
-                })
-            }
-        }
+            other => return fail(i, format!("unexpected character {other:?}")),
+        };
+        self.pos = end;
+        Ok(Some(token))
+    }
+}
+
+/// Tokenize a whole expression string.
+///
+/// # Errors
+/// [`LexError`] at the first malformed token (see [`Lexer::next_token`]).
+pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+    let mut lexer = Lexer::new(input);
+    let mut tokens = Vec::new();
+    while let Some(token) = lexer.next_token()? {
+        tokens.push(token);
     }
     Ok(tokens)
 }

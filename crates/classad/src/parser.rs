@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use crate::lexer::{lex, LexError, Token};
+use crate::lexer::{LexError, Lexer, Token};
 
 /// Attribute reference scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,9 +130,14 @@ pub const MAX_DEPTH: u32 = 256;
 /// A parsed subtree and its depth in [`MAX_DEPTH`]'s levels.
 type Node = (Expr, u32);
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Pulls tokens from the lexer with one token of lookahead, so input past
+/// the point where parsing stops (an error, or the depth bound) is never
+/// lexed.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token, lexed one ahead of the parse; `None` at the end of
+    /// the input.
+    ahead: Option<Token>,
     /// Unary operators and parenthesised groups open around the current
     /// position; checked on the way down, before the recursion they cost.
     open: u32,
@@ -182,26 +187,23 @@ fn binop(t: &Token) -> Option<(BinOp, u8)> {
     })
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.ahead.as_ref()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Take the lookahead token and lex the one after it.
+    fn next(&mut self) -> Result<Option<Token>, ParseError> {
+        let after = self.lexer.next_token()?;
+        Ok(std::mem::replace(&mut self.ahead, after))
     }
 
-    fn eat(&mut self, want: &Token) -> bool {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    fn eat(&mut self, want: &Token) -> Result<bool, ParseError> {
+        let hit = self.peek() == Some(want);
+        if hit {
+            self.next()?;
         }
+        Ok(hit)
     }
 
     /// The grammar's binary levels from precedence `min` up, by
@@ -214,7 +216,7 @@ impl Parser {
             if prec < min {
                 break;
             }
-            self.pos += 1;
+            self.next()?;
             let rhs = self.binary(prec + 1)?;
             lhs = join(op, lhs, rhs)?;
             if prec == CMP && self.peek().and_then(binop).is_some_and(|(_, p)| p == CMP) {
@@ -230,7 +232,7 @@ impl Parser {
     /// parsed by `inner`.
     fn nested(
         &mut self,
-        inner: fn(&mut Parser) -> Result<Node, ParseError>,
+        inner: fn(&mut Self) -> Result<Node, ParseError>,
     ) -> Result<Node, ParseError> {
         self.open = above(self.open)?;
         let (expr, depth) = inner(self)?;
@@ -243,9 +245,9 @@ impl Parser {
             Some(Token::Bang) => true,
             Some(Token::Minus) => false,
             Some(Token::LParen) => {
-                self.pos += 1;
+                self.next()?;
                 let node = self.nested(|p| p.binary(0))?;
-                if !self.eat(&Token::RParen) {
+                if !self.eat(&Token::RParen)? {
                     return Err(ParseError {
                         message: "expected ')'".into(),
                     });
@@ -254,8 +256,8 @@ impl Parser {
             }
             _ => return self.atom(),
         };
-        self.pos += 1;
-        let (expr, depth) = self.nested(Parser::unary)?;
+        self.next()?;
+        let (expr, depth) = self.nested(Self::unary)?;
         let expr = Expr::Unary {
             logical,
             expr: Box::new(expr),
@@ -264,7 +266,7 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Node, ParseError> {
-        let leaf = match self.next() {
+        let leaf = match self.next()? {
             Some(Token::Int(i)) => Expr::Int(i),
             Some(Token::Float(x)) => Expr::Float(x),
             Some(Token::Str(s)) => Expr::Str(s),
@@ -275,8 +277,8 @@ impl Parser {
                     "false" => Expr::Bool(false),
                     "undefined" => Expr::Undefined,
                     "error" => Expr::Error,
-                    "my" | "other" if self.eat(&Token::Dot) => {
-                        let attr = match self.next() {
+                    "my" | "other" if self.eat(&Token::Dot)? => {
+                        let attr = match self.next()? {
                             Some(Token::Ident(a)) => a.to_ascii_lowercase(),
                             other => {
                                 return Err(ParseError {
@@ -311,23 +313,24 @@ impl Parser {
 ///
 /// # Errors
 /// [`ParseError`] for a lexing failure, empty input, tokens that do not
-/// form one expression, or a tree deeper than [`MAX_DEPTH`].
+/// form one expression, or a tree deeper than [`MAX_DEPTH`], whichever
+/// the parse reaches first: tokens are lexed as the parser asks for them.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(input)?;
-    if tokens.is_empty() {
+    let mut lexer = Lexer::new(input);
+    let Some(first) = lexer.next_token()? else {
         return Err(ParseError {
             message: "empty expression".into(),
         });
-    }
+    };
     let mut p = Parser {
-        tokens,
-        pos: 0,
+        lexer,
+        ahead: Some(first),
         open: 0,
     };
     let (expr, _) = p.binary(0)?;
-    if p.pos != p.tokens.len() {
+    if let Some(t) = &p.ahead {
         return Err(ParseError {
-            message: format!("trailing tokens starting at {:?}", p.tokens[p.pos]),
+            message: format!("trailing tokens starting at {t:?}"),
         });
     }
     Ok(expr)
@@ -430,6 +433,18 @@ mod tests {
             let err = parse(&text).unwrap_err();
             assert!(err.message.contains("deeper than 256"), "{}", err.message);
         }
+    }
+
+    #[test]
+    fn input_past_the_depth_bound_is_never_lexed() {
+        // A lex error a million terms in would win if the whole input
+        // were tokenized before parsing; the parser stops at the bound.
+        let text = "1&&".repeat(1_000_000) + "1@";
+        let err = parse(&text).unwrap_err();
+        assert!(err.message.contains("deeper than 256"), "{}", err.message);
+        // Reached by the parse, the same character is a lex error.
+        let err = parse("1&&1@").unwrap_err();
+        assert_eq!(err.message, "at byte 4: unexpected character '@'");
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   everything, and context-dependent estimators keep the historical
 //!   refresh-on-any-feedback rule. EASY backfill re-estimates a Static-
 //!   or Group-scope entry only when enough nodes are free to start it;
-//! - after `max_estimation_attempts` failed executions the engine bypasses
-//!   the estimator and submits the raw user request, bounding retry storms
-//!   for pathological groups;
+//! - after three failed executions the engine bypasses the estimator and
+//!   submits the raw user request, bounding retry storms for pathological
+//!   groups;
 //! - jobs whose full request can never be satisfied by the cluster are
 //!   dropped up front (the paper removes the six 1024-node CM5 jobs for the
 //!   same reason).
@@ -89,9 +89,6 @@ pub struct SimConfig {
     pub match_policy: MatchPolicy,
     /// Feedback the estimator receives.
     pub feedback: FeedbackMode,
-    /// Failed executions after which the engine bypasses the estimator and
-    /// submits the raw request.
-    pub max_estimation_attempts: u32,
     /// Probability that a correctly provisioned execution fails anyway
     /// (faulty program / faulty machine — the §2.1 false-positive hazard).
     pub false_positive_rate: f64,
@@ -111,7 +108,6 @@ impl Default for SimConfig {
             scheduling: SchedulingPolicy::Fcfs,
             match_policy: MatchPolicy::BestFit,
             feedback: FeedbackMode::Implicit,
-            max_estimation_attempts: 3,
             false_positive_rate: 0.0,
             seed: 0x00C0_FFEE,
             retain_records: true,
@@ -138,13 +134,6 @@ impl SimConfig {
         self
     }
 
-    /// Set the failed-execution count after which the engine bypasses the
-    /// estimator.
-    pub fn with_max_estimation_attempts(mut self, attempts: u32) -> Self {
-        self.max_estimation_attempts = attempts;
-        self
-    }
-
     /// Set the injected false-positive failure probability.
     pub fn with_false_positive_rate(mut self, rate: f64) -> Self {
         self.false_positive_rate = rate;
@@ -164,6 +153,10 @@ impl SimConfig {
         self
     }
 }
+
+/// Failed executions after which the engine bypasses the estimator and
+/// submits the raw request.
+const MAX_ESTIMATION_ATTEMPTS: u32 = 3;
 
 /// Encoded [`EstimateScope`] resolution (see [`Queued::scope_slot`] and
 /// the [`JobStore`] scope column): values below [`SCOPE_GLOBAL`] are dense
@@ -236,8 +229,7 @@ pub struct SimArena {
 
 /// Mutable state of one simulation run.
 struct RunState {
-    /// Struct-of-arrays wait queue (see [`crate::queue`]): tombstoning
-    /// under FCFS/EASY, compacting under SJF.
+    /// Struct-of-arrays wait queue (see [`crate::queue`]).
     queue: JobQueue,
     /// Struct-of-arrays store of *active* jobs (queued or running), slots
     /// recycled on completion — per-job memory no longer scales with the
@@ -288,8 +280,6 @@ struct RunState {
     next_back_seq: i64,
     /// Next queue rank for `push_front` (descending from -1).
     next_front_seq: i64,
-    total_executions: u64,
-    failed_executions: u64,
     events_processed: u64,
     goodput: f64,
     wasted: f64,
@@ -582,10 +572,7 @@ impl Simulation {
         let mut state = RunState {
             queue: {
                 let mut q = mem::take(&mut arena.queue);
-                // SJF locates entries by rank search and needs every slot
-                // live; FCFS/EASY take O(1) tombstone removal instead.
-                // (`reset` also clears, keeping capacity.)
-                q.reset(sjf);
+                q.reset();
                 q
             },
             store: {
@@ -636,8 +623,6 @@ impl Simulation {
             },
             next_back_seq: 0,
             next_front_seq: -1,
-            total_executions: 0,
-            failed_executions: 0,
             events_processed: 0,
             goodput: 0.0,
             wasted: 0.0,
@@ -659,15 +644,12 @@ impl Simulation {
             #[cfg(debug_assertions)]
             shadow_check: mem::take(&mut arena.shadow_check),
         };
-        // Only the churn schedule is statically known now; it seeds the
-        // queue's sorted cursor-consumed prefix, so its entries beat
-        // same-time execution ends — as their low seeded seqs always did.
-        state.events.seed(
-            self.churn
-                .iter()
-                .enumerate()
-                .map(|(index, c)| (c.time, Event::Churn { index })),
-        );
+        // The churn schedule goes in first, in schedule order: its low
+        // seqs make churn beat a same-time execution end and keep
+        // same-time churn in schedule order.
+        for (index, c) in self.churn.iter().enumerate() {
+            state.events.push(c.time, Event::Churn { index });
+        }
 
         // The feasibility gate judges against original cluster membership
         // (the historical schedule-build-time semantics). Allocations
@@ -726,14 +708,6 @@ impl Simulation {
                 let queue_len = state.queue.len();
                 let slot = state.store.insert(job, SCOPE_UNRESOLVED);
                 let queued = self.admit(&mut state, matcher, slot, 0, queue_len);
-                if self.cfg.max_estimation_attempts == 0 {
-                    // Degenerate configuration: estimation disabled
-                    // outright, so even first submissions bypass.
-                    state.counters.estimator_bypassed += 1;
-                    if let Some(obs) = state.obs.as_deref_mut() {
-                        obs.on_estimator_bypassed(now, job_id, 0);
-                    }
-                }
                 if let Some(obs) = state.obs.as_deref_mut() {
                     obs.on_admitted(now, job_id, queued.demand.mem_kb, 0);
                 }
@@ -792,11 +766,6 @@ impl Simulation {
                         state.structural_epoch += 1;
                         state.retry_epoch += 1;
                     }
-                    Event::Arrival { .. } => {
-                        // Arrivals come from the feed; nothing enqueues
-                        // this variant anymore.
-                        debug_assert!(false, "arrival events are never enqueued");
-                    }
                 }
             }
             self.schedule(&mut state, matcher, now);
@@ -831,8 +800,6 @@ impl Simulation {
             shadow_check,
             mut obs,
             counters,
-            total_executions,
-            failed_executions,
             events_processed,
             goodput,
             wasted,
@@ -848,8 +815,8 @@ impl Simulation {
             estimator: self.estimator.name().to_string(),
             completed_jobs: counters.completed as usize,
             dropped_jobs,
-            total_executions,
-            failed_executions,
+            total_executions: counters.started,
+            failed_executions: counters.failed,
             events_processed,
             total_nodes,
             first_submit,
@@ -1007,7 +974,6 @@ impl Simulation {
             state.store.release(slot);
         } else {
             state.counters.failed += 1;
-            state.failed_executions += 1;
             let burn = job.nodes as f64 * now.saturating_sub(run.start).as_secs_f64();
             state.wasted += burn;
             state.store.add_failure(slot, burn);
@@ -1025,7 +991,7 @@ impl Simulation {
                 state.counters.requeued += 1;
                 let queue_len = state.queue.len();
                 let queued = self.admit(state, matcher, slot, attempts, queue_len);
-                if attempts >= self.cfg.max_estimation_attempts {
+                if attempts >= MAX_ESTIMATION_ATTEMPTS {
                     state.counters.estimator_bypassed += 1;
                     if let Some(obs) = state.obs.as_deref_mut() {
                         obs.on_estimator_bypassed(now, job.id, attempts);
@@ -1089,7 +1055,7 @@ impl Simulation {
         // All-inline fields: the copy frees `state` for `scope_slot_of`.
         let job = state.store.job(slot).clone();
         let request = requested_demand(&job);
-        let (demand, scope_slot) = if attempts >= self.cfg.max_estimation_attempts {
+        let (demand, scope_slot) = if attempts >= MAX_ESTIMATION_ATTEMPTS {
             // Bypassing the estimator: the raw request depends on nothing
             // feedback can change, so only churn can stale this entry.
             (request, SCOPE_STATIC)
@@ -1249,7 +1215,6 @@ impl Simulation {
         };
         let queued = state.queue.get(idx);
         let slot = queued.job;
-        state.total_executions += 1;
         state.counters.started += 1;
 
         // Does the allocation actually hold the job? Whole nodes are
@@ -1539,8 +1504,9 @@ impl Simulation {
                     let phys_len = state.queue.phys_len();
                     hunt_from = idx + 1;
                     if self.try_start_at(state, matcher, idx, now) {
-                        // A compacting removal moves every physical index:
-                        // resume past the head; passed entries re-reject.
+                        // A removal that compacted the queue moves every
+                        // physical index: resume past the head; passed
+                        // entries re-reject.
                         if state.queue.phys_len() < phys_len {
                             hunt_from = state.queue.head_idx() + 1;
                         }
@@ -2304,6 +2270,49 @@ mod tests {
         assert_eq!(r.completed_jobs, 1);
         assert_eq!(r.failed_executions, 0);
         assert_eq!(r.records[0].completion, Time::from_secs(100));
+    }
+
+    #[test]
+    fn churn_beats_a_same_time_execution_end() {
+        // Job 1 ends at t=100, when two of the four nodes leave. Churn
+        // applies first: the leave takes the two free nodes, so job 2
+        // never finds four and is dropped. Were the execution end first,
+        // job 2 would start on all four and the leave would find none
+        // free.
+        let jobs = wl(vec![
+            JobBuilder::new(1)
+                .nodes(2)
+                .runtime(Time::from_secs(100))
+                .requested_mem_kb(8 * MB)
+                .used_mem_kb(8 * MB)
+                .build(),
+            JobBuilder::new(2)
+                .submit(Time::from_secs(1))
+                .nodes(4)
+                .runtime(Time::from_secs(10))
+                .requested_mem_kb(8 * MB)
+                .used_mem_kb(8 * MB)
+                .build(),
+        ]);
+        for policy in [
+            SchedulingPolicy::Fcfs,
+            SchedulingPolicy::Sjf,
+            SchedulingPolicy::EasyBackfill,
+        ] {
+            let r = Simulation::new(
+                SimConfig::default().with_scheduling(policy),
+                ClusterBuilder::new().pool(4, 32 * MB).build(),
+                EstimatorSpec::PassThrough,
+            )
+            .with_churn(vec![ChurnEvent {
+                time: Time::from_secs(100),
+                mem_kb: 32 * MB,
+                delta: -2,
+            }])
+            .run(&jobs);
+            assert_eq!(r.completed_jobs, 1, "{policy:?}");
+            assert_eq!(r.dropped_jobs, 1, "{policy:?}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@
 pub mod build;
 pub mod csv;
 pub mod engine;
-pub mod event;
+mod event;
 pub mod experiment;
 pub mod metrics;
 pub mod observer;

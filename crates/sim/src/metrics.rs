@@ -93,7 +93,7 @@ pub struct RunCounters {
     /// Failed executions that returned to the head of the queue.
     pub requeued: u64,
     /// Admissions that bypassed the estimator and submitted the raw user
-    /// request (the engine's backoff after `max_estimation_attempts`).
+    /// request (the engine's backoff after three failed executions).
     pub estimator_bypassed: u64,
     /// Cluster membership changes applied.
     pub churn_events: u64,
@@ -124,9 +124,10 @@ pub struct SimResult {
     /// Jobs dropped because even their full request can never be satisfied
     /// by the cluster (e.g. 1024-node jobs on a 512-node-per-pool split).
     pub dropped_jobs: usize,
-    /// Total executions started (completions + failures).
+    /// Total executions started (completions + failures); equals
+    /// [`RunCounters::started`].
     pub total_executions: u64,
-    /// Executions that failed.
+    /// Executions that failed; equals [`RunCounters::failed`].
     pub failed_executions: u64,
     /// Discrete events processed by the engine (arrivals + execution ends +
     /// churn). The throughput denominator for benchmarking: events/second

@@ -81,9 +81,7 @@ pub trait SimObserver: Send {
     }
 
     /// An admission bypassed the estimator and submitted the raw user
-    /// request — the engine's backoff after
-    /// [`SimConfig::max_estimation_attempts`](crate::engine::SimConfig::max_estimation_attempts)
-    /// failed executions.
+    /// request — the engine's backoff after three failed executions.
     fn on_estimator_bypassed(&mut self, time: Time, job: JobId, attempts: u32) {
         let _ = (time, job, attempts);
     }

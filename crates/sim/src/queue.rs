@@ -20,16 +20,19 @@
 //! check it already does), and the columns compact amortized-O(1) once
 //! dead slots outnumber live ones.
 //!
-//! Physical indices are stable except across a start (tombstone +
-//! possible compaction) or a requeue at the head — exactly the events
-//! that already invalidate the engine's [`ShadowCache`] via the running
-//! generation, so the cache's saved scan positions never dangle.
+//! Physical indices are stable except across a compaction (which only a
+//! removal, i.e. a start, triggers) or a requeue at the head. A requeue
+//! follows an execution end, which bumps the engine's running generation
+//! and so invalidates the [`ShadowCache`]. A backfill start carries the
+//! generation forward instead; the cache's saved scan position stays
+//! valid because the hunt resumes just past the head after a compaction
+//! and the pass re-takes `scanned` at its end.
 //!
-//! SJF cannot tolerate tombstones: it locates entries by binary search on
-//! the queue rank (`seq`), which dead slots with stale ranks would break.
-//! Under SJF the queue runs in *compacting* mode — physical removal, all
-//! slots live — matching the historical `VecDeque` shape; SJF never runs
-//! the hunt, so it keeps none of the tombstone costs either.
+//! SJF finds an entry by binary search on its queue rank (`seq`) over the
+//! slots from the head on. Dead slots keep their stale ranks, and the
+//! search still holds: a slot is only ever written at the tail (with a
+//! rank above every other) or just below the head (with one below every
+//! other), so ranks ascend from the head, dead slots included.
 //!
 //! [`ShadowCache`]: crate::engine
 
@@ -38,8 +41,8 @@ use resmatch_workload::Time;
 
 /// A queued (re)submission — the transfer type between the engine and the
 /// queue's columns. Field semantics are the engine's (see `crate::engine`);
-/// the queue itself only interprets `seq` (compacting-mode binary search)
-/// and `requested_runtime` / `failed_alloc_stamp` (the hot columns).
+/// the queue itself only interprets `seq` (the SJF rank search) and
+/// `requested_runtime` / `failed_alloc_stamp` (the hot columns).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Queued {
     /// Index of the job in the engine's job store.
@@ -57,10 +60,11 @@ pub(crate) struct Queued {
     /// Estimation strictly enlarged the candidate-machine set.
     pub benefited: bool,
     /// Queue-order rank: `push_front` assigns strictly decreasing values,
-    /// `push_back` strictly increasing ones, so live entries are always
-    /// sorted ascending by `seq` and an entry's rank survives index
-    /// shifts. SJF uses it both as the heap tie-break (first-minimum =
-    /// lowest rank) and to find an entry's current index by binary search.
+    /// `push_back` strictly increasing ones, so the slots from the head
+    /// on are always sorted ascending by `seq` and an entry's rank
+    /// survives index shifts. SJF uses it both as the heap tie-break
+    /// (first-minimum = lowest rank) and to find an entry's current index
+    /// by binary search.
     pub seq: i64,
     /// The job's requested runtime, mirrored into a hot column so the
     /// backfill scan reads the queue sequentially.
@@ -98,7 +102,7 @@ pub(crate) struct ColdSlot {
 const DEAD_RT: Time = Time::MAX;
 
 /// Struct-of-arrays wait queue. See the module docs for the layout and
-/// the tombstone/compacting split.
+/// the tombstones.
 #[derive(Debug, Default)]
 pub(crate) struct JobQueue {
     /// Hot: requested runtime per slot (`DEAD_RT` when tombstoned).
@@ -111,9 +115,6 @@ pub(crate) struct JobQueue {
     head: usize,
     /// Live entry count — the queue's logical length.
     live: usize,
-    /// Compacting mode (SJF): remove shifts instead of tombstoning, so
-    /// every slot is live and binary search by `seq` spans all columns.
-    compacting: bool,
 }
 
 impl JobQueue {
@@ -134,15 +135,13 @@ impl JobQueue {
         self.cold.len()
     }
 
-    /// Clear all columns, keeping their capacity, and set the removal
-    /// mode for the next run.
-    pub(crate) fn reset(&mut self, compacting: bool) {
+    /// Clear all columns, keeping their capacity.
+    pub(crate) fn reset(&mut self) {
         self.rt.clear();
         self.stamp.clear();
         self.cold.clear();
         self.head = 0;
         self.live = 0;
-        self.compacting = compacting;
     }
 
     /// Physical index of the head (first live) entry.
@@ -229,34 +228,28 @@ impl JobQueue {
         self.live += 1;
     }
 
-    /// Remove and return the entry at `idx`: a physical shift in
-    /// compacting mode, an O(1) tombstone otherwise (with amortized
-    /// compaction once dead slots exceed a quarter of the live ones —
-    /// the hunt pays for every dead slot it strides over, so the
-    /// threshold trades copy traffic for scan density).
+    /// Remove and return the entry at `idx`: an O(1) tombstone, with
+    /// amortized compaction once dead slots exceed a quarter of the live
+    /// ones — the hunt pays for every dead slot it strides over, so the
+    /// threshold trades copy traffic for scan density.
     pub(crate) fn remove(&mut self, idx: usize) -> Queued {
         let out = self.get(idx);
         self.live -= 1;
-        if self.compacting {
-            self.rt.remove(idx);
-            self.stamp.remove(idx);
-            self.cold.remove(idx);
-        } else {
-            self.cold[idx].dead = true;
-            self.rt[idx] = DEAD_RT;
-            while self.head < self.cold.len() && self.cold[self.head].dead {
-                self.head += 1;
-            }
-            if self.cold.len() - self.live > (self.live / 4).max(64) {
-                self.compact();
-            }
+        self.cold[idx].dead = true;
+        self.rt[idx] = DEAD_RT;
+        while self.head < self.cold.len() && self.cold[self.head].dead {
+            self.head += 1;
+        }
+        if self.cold.len() - self.live > (self.live / 4).max(64) {
+            self.compact();
         }
         out
     }
 
-    /// Drop every dead slot, preserving live order. Callers run this only
-    /// on removal — i.e. a start — which already invalidates every saved
-    /// physical scan position via the engine's running generation.
+    /// Drop every dead slot, preserving live order. Only a removal — a
+    /// start — runs this, and it moves every physical index: the EASY
+    /// hunt resumes just past the head when it sees the columns shrink
+    /// (see the module docs).
     fn compact(&mut self) {
         let mut w = 0;
         for r in 0..self.cold.len() {
@@ -274,8 +267,9 @@ impl JobQueue {
         self.head = 0;
     }
 
-    /// Physical index of the live entry with queue rank `seq`
-    /// (compacting mode only: every slot is live and ranks are sorted).
+    /// Physical index of the live entry with queue rank `seq`: a binary
+    /// search over the slots from the head on, whose ranks ascend dead
+    /// slots included (see the module docs).
     ///
     /// # Panics
     /// When no entry holds that rank — the SJF heap mirrors the queue, so
@@ -285,10 +279,12 @@ impl JobQueue {
         reason = "invariant: the SJF heap mirrors the queue"
     )]
     pub(crate) fn index_of_seq(&self, seq: i64) -> usize {
-        debug_assert!(self.compacting, "seq search requires compacting mode");
-        self.cold
-            .binary_search_by(|c| c.seq.cmp(&seq))
-            .expect("invariant: the SJF heap mirrors the queue")
+        let idx = self.head
+            + self.cold[self.head..]
+                .binary_search_by(|c| c.seq.cmp(&seq))
+                .expect("invariant: the SJF heap mirrors the queue");
+        debug_assert!(!self.cold[idx].dead, "seq search hit a tombstone");
+        idx
     }
 
     /// The hunt's column view from physical index `from`: shared runtime
@@ -302,15 +298,13 @@ impl JobQueue {
         )
     }
 
-    /// First-minimum scan over the requested-runtime column — the SJF
-    /// debug cross-check's reference answer (compacting mode: all live).
-    /// Compiled in all profiles because `debug_assert!` bodies are.
+    /// First-minimum scan over the live requested runtimes in queue
+    /// order — the SJF debug cross-check's reference answer. Compiled in
+    /// all profiles because `debug_assert!` bodies are.
     pub(crate) fn debug_first_min_runtime_idx(&self) -> Option<usize> {
-        self.rt
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, rt)| rt)
-            .map(|(i, _)| i)
+        (self.head..self.cold.len())
+            .filter(|&i| !self.cold[i].dead)
+            .min_by_key(|&i| self.rt[i])
     }
 
     /// Walk live entries' `(physical index, entry)` pairs (debug checks
@@ -363,7 +357,7 @@ mod tests {
     #[test]
     fn tombstone_removal_preserves_order_and_length() {
         let mut q = JobQueue::default();
-        q.reset(false);
+        q.reset();
         for (i, seq) in (0..5).enumerate() {
             q.push_back(entry(i, seq, 10));
         }
@@ -382,7 +376,7 @@ mod tests {
     #[test]
     fn push_front_reuses_dead_head_slot() {
         let mut q = JobQueue::default();
-        q.reset(false);
+        q.reset();
         q.push_back(entry(0, 0, 10));
         q.push_back(entry(1, 1, 10));
         q.remove(q.head_idx());
@@ -397,7 +391,7 @@ mod tests {
     #[test]
     fn compaction_keeps_live_entries_in_order() {
         let mut q = JobQueue::default();
-        q.reset(false);
+        q.reset();
         for i in 0..200 {
             q.push_back(entry(i, i as i64, 10));
         }
@@ -419,25 +413,60 @@ mod tests {
     }
 
     #[test]
-    fn compacting_mode_binary_search_by_seq() {
+    fn seq_search_spans_tombstones() {
         let mut q = JobQueue::default();
-        q.reset(true);
+        q.reset();
         q.push_front(entry(0, -1, 5));
         q.push_back(entry(1, 0, 3));
         q.push_back(entry(2, 1, 4));
+        q.push_back(entry(3, 2, 3));
         assert_eq!(q.index_of_seq(-1), 0);
         assert_eq!(q.index_of_seq(1), 2);
+        // A tombstone keeps its stale rank in place: the ranks from the
+        // head on still ascend, so the search steps over it.
         let removed = q.remove(q.index_of_seq(0));
         assert_eq!(removed.job, 1);
-        // Compacting removal shifts: seq 1 now sits at index 1.
-        assert_eq!(q.index_of_seq(1), 1);
-        assert_eq!(q.phys_len(), 2);
+        assert_eq!(q.index_of_seq(1), 2);
+        assert_eq!(q.index_of_seq(2), 3);
+        // The first minimum is the live runtime-3 entry, not the dead
+        // slot that held runtime 3 before its removal.
+        assert_eq!(q.debug_first_min_runtime_idx(), Some(3));
+        // Removing the head moves it past both dead slots; a requeue at
+        // the front reuses the one just below it with a rank below every
+        // other, and the search starts there.
+        q.remove(q.head_idx());
+        assert_eq!(q.head_idx(), 2);
+        q.push_front(entry(9, -2, 9));
+        assert_eq!(q.head_idx(), 1);
+        assert_eq!(q.index_of_seq(-2), 1);
+        assert_eq!(q.index_of_seq(2), 3);
+        assert_eq!(q.phys_len(), 4);
+    }
+
+    #[test]
+    fn seq_search_survives_compaction() {
+        let mut q = JobQueue::default();
+        q.reset();
+        for i in 0..200 {
+            q.push_back(entry(i, i as i64, (i % 7) as u64));
+        }
+        // Remove every entry of even rank, so the dead slots pile up
+        // past the threshold and compaction fires.
+        for seq in (0..200).step_by(2) {
+            q.remove(q.index_of_seq(seq));
+        }
+        assert!(q.phys_len() < 200, "compaction never fired");
+        for seq in (1..200).step_by(2) {
+            assert_eq!(q.get(q.index_of_seq(seq)).job, seq as usize);
+        }
+        let min = q.debug_first_min_runtime_idx().unwrap();
+        assert_eq!(q.get(min).job, 7, "first live entry of runtime 0");
     }
 
     #[test]
     fn refresh_in_place_keeps_position() {
         let mut q = JobQueue::default();
-        q.reset(false);
+        q.reset();
         q.push_back(entry(0, 0, 10));
         q.push_back(entry(1, 1, 10));
         let mut fresh = entry(1, 1, 99);
@@ -451,7 +480,7 @@ mod tests {
     #[test]
     fn dead_slots_reject_through_the_hot_runtime_column() {
         let mut q = JobQueue::default();
-        q.reset(false);
+        q.reset();
         q.push_back(entry(0, 0, 1));
         q.push_back(entry(1, 1, 1));
         q.remove(0);

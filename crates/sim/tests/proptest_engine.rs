@@ -74,9 +74,9 @@ fn workload(specs: &[JobSpec]) -> Workload {
 
 /// Jobs whose submit gaps exceed the worst-case residency of their
 /// predecessor, so no job ever queues behind another. A job executes at
-/// most `max_estimation_attempts + 1` times (three estimator-driven
-/// failures, then the bypass attempt with the full request, which always
-/// fits for these sizes), so a gap of five runtimes is already conservative.
+/// most four times (three estimator-driven failures, then the bypass
+/// attempt with the full request, which always fits for these sizes), so
+/// a gap of five runtimes is already conservative.
 fn arb_serial_jobs() -> impl Strategy<Value = Vec<JobSpec>> {
     prop::collection::vec(
         (

@@ -7,10 +7,11 @@
 # renames each package with an `-old` suffix (dependents keep the crate
 # names through `package =`), and links them beside the working tree's
 # crates in one release binary. `workload`, `stats` and `vendor/` are the
-# working tree's for both sides. The binary runs paper_fcfs's 24
-# configurations and the 64 saturated EASY traces, native and matched,
-# alternating old and new per configuration, asserts equal outcomes and
-# prints per-configuration minima and the summed new/old ratio.
+# working tree's for both sides. The binary runs four groups: paper_fcfs's
+# 24 configurations, the 64 saturated EASY traces native and matched, and
+# trace_sjf (paper_fcfs's 24 configurations under SJF). It alternates old
+# and new per configuration, asserts equal outcomes and prints
+# per-configuration minima and each group's summed new/old ratio.
 set -euo pipefail
 
 rev=${1:?usage: tools/ab/run.sh REV [--smoke] [--reps N] [--seed N]}

@@ -2,11 +2,14 @@
 //!
 //! `run.sh REV` links REV's engine crates (`cluster`, `core`, `classad`,
 //! `sim`, renamed `*-old`) beside the working tree's into this binary. It
-//! runs the repository benchmark's simulator configurations on both sides
-//! in one process, alternating old and new per configuration, so the host
-//! speed swings that blur separate benchmark runs hit both sides alike.
-//! Every run's outcome must match the first run of its configuration on
-//! either side; work counters may differ.
+//! runs four groups of simulator configurations on both sides in one
+//! process, alternating old and new per configuration, so the host speed
+//! swings that blur separate benchmark runs hit both sides alike:
+//! `paper_fcfs`, `saturated_easy` and `matched_easy` as the repository
+//! benchmark builds them, and `trace_sjf`, paper_fcfs's 24 configurations
+//! under shortest-job-first, which the benchmark does not run. Every
+//! run's outcome must match the first run of its configuration on either
+//! side; work counters may differ.
 //!
 //! Options: `--smoke` (tiny sizes, one repetition), `--reps N` (default
 //! 11), `--seed N` (default 42). Exits 1 when outcomes differ and 2 on a
@@ -24,6 +27,14 @@ const TOTAL_NODES: u32 = 1024;
 /// The Figure 5 offered-load axis.
 const FIG5_LOADS: [f64; 11] = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.5];
 
+/// Queue discipline of a configuration.
+#[derive(Clone, Copy)]
+pub enum Policy {
+    Fcfs,
+    Sjf,
+    Easy,
+}
+
 /// One simulated configuration, as perfbench builds it.
 pub struct Case {
     label: String,
@@ -31,8 +42,8 @@ pub struct Case {
     input: usize,
     /// Offered load to rescale the input to; `None` runs it as is.
     load: Option<f64>,
-    /// EASY backfill instead of FCFS.
-    easy: bool,
+    /// Queue discipline.
+    policy: Policy,
     /// The paper's successive estimator instead of pass-through.
     successive: bool,
     /// Allocation through the ClassAd matchmaker on the split cluster.
@@ -70,10 +81,11 @@ macro_rules! engine {
                 /// Run `case` over `w`: the outcome digest and the
                 /// nanoseconds `run_with_arena` took.
                 pub fn run(&mut self, case: &crate::Case, w: &Workload) -> (u64, u64) {
-                    let mut cfg = SimConfig::default();
-                    if case.easy {
-                        cfg = cfg.with_scheduling(SchedulingPolicy::EasyBackfill);
-                    }
+                    let cfg = SimConfig::default().with_scheduling(match case.policy {
+                        crate::Policy::Fcfs => SchedulingPolicy::Fcfs,
+                        crate::Policy::Sjf => SchedulingPolicy::Sjf,
+                        crate::Policy::Easy => SchedulingPolicy::EasyBackfill,
+                    });
                     let spec = if case.successive {
                         EstimatorSpec::paper_successive()
                     } else {
@@ -181,7 +193,7 @@ fn sub_seed(seed: u64, k: usize) -> u64 {
     seed.wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// The inputs and the three configuration groups.
+/// The inputs and the four configuration groups.
 fn build(args: &Args) -> (Vec<Workload>, Vec<(&'static str, Vec<Case>)>) {
     let (trace_jobs, loads, easy_traces, easy_jobs) = if args.smoke {
         (3_000, vec![0.5, 1.5], 3, 1_500)
@@ -189,7 +201,7 @@ fn build(args: &Args) -> (Vec<Workload>, Vec<(&'static str, Vec<Case>)>) {
         (122_055, FIG5_LOADS.to_vec(), 64, 5_000)
     };
     let mut inputs = vec![paper_trace(trace_jobs, args.seed)];
-    let mut fcfs = Vec::new();
+    let (mut fcfs, mut sjf) = (Vec::new(), Vec::new());
     for load in loads.into_iter().map(Some).chain([None]) {
         for successive in [false, true] {
             let at = load.map_or("natural".to_string(), |l| l.to_string());
@@ -198,14 +210,19 @@ fn build(args: &Args) -> (Vec<Workload>, Vec<(&'static str, Vec<Case>)>) {
             } else {
                 "pass-through"
             };
-            fcfs.push(Case {
-                label: format!("fcfs/{est}/load={at}"),
-                input: 0,
-                load,
-                easy: false,
-                successive,
-                matched: false,
-            });
+            for (policy, name, group) in [
+                (Policy::Fcfs, "fcfs", &mut fcfs),
+                (Policy::Sjf, "sjf", &mut sjf),
+            ] {
+                group.push(Case {
+                    label: format!("{name}/{est}/load={at}"),
+                    input: 0,
+                    load,
+                    policy,
+                    successive,
+                    matched: false,
+                });
+            }
         }
     }
     let (mut native, mut matched) = (Vec::new(), Vec::new());
@@ -216,7 +233,7 @@ fn build(args: &Args) -> (Vec<Workload>, Vec<(&'static str, Vec<Case>)>) {
             label: format!("easy/trace={k}"),
             input: inputs.len(),
             load: None,
-            easy: true,
+            policy: Policy::Easy,
             successive: true,
             matched: false,
         });
@@ -226,7 +243,7 @@ fn build(args: &Args) -> (Vec<Workload>, Vec<(&'static str, Vec<Case>)>) {
             label: format!("matched/trace={k}"),
             input: inputs.len(),
             load: None,
-            easy: true,
+            policy: Policy::Easy,
             successive: true,
             matched: true,
         });
@@ -236,6 +253,7 @@ fn build(args: &Args) -> (Vec<Workload>, Vec<(&'static str, Vec<Case>)>) {
         ("paper_fcfs", fcfs),
         ("saturated_easy", native),
         ("matched_easy", matched),
+        ("trace_sjf", sjf),
     ];
     (inputs, groups)
 }
